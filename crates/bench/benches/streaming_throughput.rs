@@ -1,5 +1,5 @@
 //! Streaming-ingestion benchmark: slice backend vs the stream-driven
-//! backend, per-event broadcast vs chunked shared-arena hand-off.
+//! backend, single-event chunks vs batched shared-arena chunks.
 //!
 //! Like `sharded_throughput` this is a plain `main` (`harness = false`)
 //! that also *records* its results: a JSON report is written to
@@ -11,15 +11,15 @@
 //!   materialised slice; the baseline the streaming pipeline is compared
 //!   against.
 //! * **broadcast backend** — `ShardedEngine::run_source` at chunk
-//!   capacity 1 (the exact legacy per-event path) across queue capacities
-//!   {16, 256, 1024, 4096}: a producer thread clones and pushes every
-//!   event into every shard's bounded queue. Small capacities maximise
-//!   backpressure stalls; large ones amortise the hand-off.
+//!   capacity 1 across queue capacities {16, 256, 1024, 4096}: the
+//!   producer seals every event into its own single-event chunk and pushes
+//!   one `Arc` per event into every shard's bounded queue. Small capacities
+//!   maximise backpressure stalls; large ones amortise the hand-off.
 //! * **chunked backend** — `run_source` with the shared-arena hand-off at
 //!   chunk capacities {16, 64, 256, 1024}, queue slots scaled so every
 //!   configuration buffers the *same* 4096 events as the largest
 //!   broadcast row. Each chunk is appended once and shipped as one
-//!   `Arc` per shard, so the per-event clone + push/pop disappears;
+//!   `Arc` per shard, so the per-event seal + push/pop disappears;
 //!   `chunked_over_broadcast` is the same-process rate ratio against the
 //!   best broadcast configuration at the same shard count — a
 //!   hardware-independent ratio the CI regression check gates.
@@ -75,7 +75,7 @@ fn main() {
 
     // Correctness gate: the streaming backend must emit exactly the
     // single-operator output at every shard count, queue capacity and
-    // chunk capacity — per-event broadcast and chunked arena alike.
+    // chunk capacity — single-event and batched chunks alike.
     let expected = Operator::new(query.clone()).run(&stream, &mut KeepAll);
     for shards in [1usize, 2] {
         for (capacity, chunk) in [(16usize, 1usize), (1024, 1), (16, 256), (4, 1024)] {
@@ -110,7 +110,7 @@ fn main() {
         slice_rows.push((shards, secs, rate));
     }
 
-    // Broadcast backend (chunk capacity 1, the exact legacy per-event
+    // Broadcast backend (chunk capacity 1: one single-event chunk per
     // hand-off) across the queue-capacity sweep.
     let mut stream_rows = Vec::new();
     for &shards in &shard_counts {
@@ -219,7 +219,7 @@ fn main() {
     }
     json.push_str("  ],\n");
     json.push_str(
-        "  \"notes\": \"streaming_backend is the per-event broadcast (chunk capacity 1): one bounded-queue hand-off (clone + push/pop) per event per shard. chunked_backend appends events once into shared sequence-stamped chunks and ships one Arc per chunk per shard; every chunked row buffers the same 4096 events as the largest broadcast row (slots x chunk = 4096), so chunked_over_broadcast — rate vs the best broadcast configuration at the same shard count, both sides in one process — isolates the hand-off mechanism and is gated by the CI regression check. On a single-core host producer and drain threads time-share the core, so vs_slice < 1 documents hand-off cost rather than parallel speedup; backpressure_events > 0 shows bounded queues (not unbounded buffering) carried the stream.\"\n",
+        "  \"notes\": \"streaming_backend runs chunk capacity 1: every event is sealed into its own single-event chunk and handed off (Arc clone + push/pop) per shard — capacity 1 takes the same chunk hand-off as every other capacity, so these rows (the chunked_over_broadcast denominator) measure single-event chunks, not a separate per-event clone broadcast. chunked_backend appends events once into shared sequence-stamped chunks and ships one Arc per chunk per shard; every chunked row buffers the same 4096 events as the largest broadcast row (slots x chunk = 4096), so chunked_over_broadcast — rate vs the best broadcast configuration at the same shard count, both sides in one process — isolates the hand-off mechanism and is gated by the CI regression check. On a single-core host producer and drain threads time-share the core, so vs_slice < 1 documents hand-off cost rather than parallel speedup; backpressure_events > 0 shows bounded queues (not unbounded buffering) carried the stream.\"\n",
     );
     json.push_str("}\n");
 

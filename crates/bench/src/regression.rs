@@ -10,7 +10,7 @@
 //!
 //! * **gated** metrics — same-process speedup *ratios* (shared-ring vs
 //!   reference storage, projected shard scaling, batched vs scalar
-//!   decisions, chunked-arena vs per-event broadcast ingestion) and the
+//!   decisions, chunked-arena vs single-event-chunk ingestion) and the
 //!   quality matrix's deterministic `recall` / `false_positive_ratio`
 //!   leaves. Both sides of a ratio run in the same process on the same
 //!   host (and the quality runs are bit-for-bit reproducible), so the
@@ -25,8 +25,8 @@
 //!   ignored.
 //!
 //! The JSON parser is a deliberately small hand-rolled recursive-descent
-//! reader (the workspace's vendored `serde` is a no-op stand-in, so there
-//! is no derive-based deserialisation to lean on); it covers exactly the
+//! reader (the workspace has no serialisation dependency, so there is no
+//! derive-based deserialisation to lean on); it covers exactly the
 //! JSON the benches emit: objects, arrays, strings, numbers, booleans and
 //! null.
 

@@ -2,10 +2,9 @@
 
 use crate::WindowId;
 use espice_events::{EventType, SequenceNumber, Timestamp};
-use serde::{Deserialize, Serialize};
 
 /// A primitive event that contributed to a complex event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Constituent {
     /// Sequence number of the contributing primitive event.
     pub seq: SequenceNumber,
@@ -37,7 +36,7 @@ pub struct Constituent {
 /// );
 /// assert_eq!(cplx.key(), (7, vec![10]));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ComplexEvent {
     window_id: WindowId,
     detected_at: Timestamp,

@@ -75,8 +75,9 @@ use crate::lifecycle::{
     Anchoring, EngineControl, LifecycleReport, LifecycleRequest, LiveRunOutcome, ShardCommand,
     ShardInput,
 };
-use crate::queue::{spsc, QueueProducer, QueueStats};
+use crate::queue::{spsc, QueueConsumer, QueueProducer, QueueStats};
 use crate::resilience::{panic_message, EngineError, ShardFailure};
+use crate::shard::DeciderRow;
 use crate::window::{OwnershipPolicy, SharedSizePredictor};
 use crate::{
     BoxedDecider, ComplexEvent, KeepAll, OperatorStats, Query, QueryHandle, QueryId, QuerySet,
@@ -89,10 +90,6 @@ use std::panic::AssertUnwindSafe;
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// What one shard's live run returns: per-slot outputs plus the decider
-/// row (admitted deciders included, retired ones dropped).
-type LiveShardResult = (Vec<Vec<ComplexEvent>>, Vec<Option<BoxedDecider>>);
 
 /// Default capacity of each shard's bounded input queue, in hand-offs
 /// (chunks on the chunked path): large enough to amortise
@@ -218,10 +215,10 @@ pub struct ShardedEngine {
     pub(crate) live: Vec<bool>,
     pub(crate) events_processed: u64,
     /// Capacity of each shard's bounded input queue on the streaming path,
-    /// in hand-offs (chunks, or events at chunk capacity 1).
+    /// in hand-offs (chunks and in-band commands).
     pub(crate) queue_capacity: usize,
-    /// Events batched per shared chunk on the streaming path; 1 selects
-    /// the degenerate per-event broadcast hand-off.
+    /// Events batched per shared chunk on the streaming path; 1 ships
+    /// single-event chunks.
     pub(crate) chunk_capacity: usize,
     /// Cadence at which drain loops report [`QueueSample`]s to their
     /// deciders; `None` (the default) disables sampling entirely so
@@ -396,8 +393,8 @@ impl ShardedEngine {
 
     /// Sets how many events the producer batches into one shared
     /// [`EventChunk`] before broadcasting it (one `Arc` reference per
-    /// shard) on subsequent streaming runs. Capacity 1 degenerates to the
-    /// per-event broadcast hand-off (no chunk allocation); the default is
+    /// shard) on subsequent streaming runs. Capacity 1 ships single-event
+    /// chunks (every path hands over chunks only); the default is
     /// [`DEFAULT_CHUNK_CAPACITY`]. Output is invariant in this knob — it
     /// trades hand-off amortisation against publication latency.
     ///
@@ -585,8 +582,9 @@ impl ShardedEngine {
     /// wrapper over [`run_source`](Self::run_source). Existing callers and
     /// benches keep compiling, but the execution underneath is the
     /// streaming pipeline — a producer fan-out over bounded per-shard
-    /// queues — not a shared-slice scan. The hand-off costs one clone +
-    /// queue push/pop per event per shard *for the whole query set*; batch
+    /// queues — not a shared-slice scan. The hand-off costs one append per
+    /// event plus one `Arc` push/pop per chunk per shard *for the whole
+    /// query set*; batch
     /// callers that only ever process fully materialised streams and want
     /// the zero-copy scan should call [`run_slice`](Self::run_slice)
     /// instead.
@@ -626,7 +624,7 @@ impl ShardedEngine {
     /// scoped thread when there is more than one) iterates the slice
     /// directly, offering each event to every query's operator in the
     /// fused pass. This is the batch path: it avoids the streaming
-    /// pipeline's per-event hand-off for workloads that are fully
+    /// pipeline's queue hand-off for workloads that are fully
     /// materialised anyway, and serves as the oracle the streaming path is
     /// property-tested against. Output and statistics are identical to
     /// [`run_source`](Self::run_source) for deciders whose decisions are a
@@ -684,55 +682,9 @@ impl ShardedEngine {
         check_decider_count(deciders.len(), self.shards.len(), queries, false)?;
         let events = stream.events();
         self.events_processed += events.len() as u64;
-
-        let mut failures: Vec<ShardFailure> = Vec::new();
-        let outputs: Vec<Vec<Vec<ComplexEvent>>> = if self.shards.len() == 1 {
-            let shard = &mut self.shards[0];
-            match std::panic::catch_unwind(AssertUnwindSafe(|| {
-                shard.run_events_multi(events, deciders)
-            })) {
-                Ok(output) => vec![output],
-                Err(payload) => {
-                    failures.push(ShardFailure {
-                        shard: 0,
-                        message: panic_message(payload),
-                        position: None,
-                    });
-                    Vec::new()
-                }
-            }
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .zip(deciders.chunks_mut(queries))
-                    .map(|(shard, chunk)| {
-                        scope.spawn(move || shard.run_events_multi(events, chunk))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .enumerate()
-                    .filter_map(|(shard, handle)| match handle.join() {
-                        Ok(output) => Some(output),
-                        Err(payload) => {
-                            failures.push(ShardFailure {
-                                shard,
-                                message: panic_message(payload),
-                                position: None,
-                            });
-                            None
-                        }
-                    })
-                    .collect()
-            })
-        };
-        if !failures.is_empty() {
-            return Err(EngineError::ShardsFailed { failures });
-        }
-
-        Ok(merge_outputs(outputs, queries))
+        let commands = (0..self.shards.len()).map(|_| VecDeque::new()).collect();
+        let results = scan_slice(&mut self.shards, events, deciders.chunks_mut(queries), commands)?;
+        Ok(merge_outputs(results.into_iter().map(|(outputs, _)| outputs).collect(), queries))
     }
 
     /// Streams events from `source` through all shards, with one decider
@@ -821,116 +773,8 @@ impl ShardedEngine {
     {
         let queries = self.queries.len();
         check_decider_count(deciders.len(), self.shards.len(), queries, false)?;
-        let capacity = self.queue_capacity;
-        let chunk_capacity = self.chunk_capacity;
-        let check_interval = self.check_interval;
-        let faults = self.fault_plan.as_ref().map(ArmedFaults::arm);
-        let kill_after = faults.as_ref().and_then(|f| f.producer_kill_after());
-
-        let mut produced = 0u64;
-        let mut failures: Vec<ShardFailure> = Vec::new();
-        let (outputs, queue_stats) = std::thread::scope(|scope| {
-            let mut producers = Vec::with_capacity(self.shards.len());
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .zip(deciders.chunks_mut(queries))
-                .map(|(shard, chunk)| {
-                    let (producer, consumer) = spsc(capacity);
-                    producers.push(producer);
-                    let faults = faults.clone();
-                    scope.spawn(move || {
-                        shard.run_queue_multi_injected(
-                            consumer,
-                            chunk,
-                            check_interval,
-                            faults.as_deref(),
-                        )
-                    })
-                })
-                .collect();
-
-            // Tracks shards whose drain thread died mid-stream: the
-            // producer skips them (their queue would reject every push) but
-            // keeps feeding the survivors. `deaths` records the stream
-            // position at which each shard's hand-off first failed — the
-            // diagnostics the returned error carries.
-            let mut dead = vec![false; producers.len()];
-            let mut deaths: Vec<(usize, u64)> = Vec::new();
-
-            // Producer fan-out at batch granularity: events are appended
-            // once into a shared chunk, and sealing broadcasts one
-            // `Arc<EventChunk>` reference per shard — the queue's Release
-            // tail store publishes the whole batch, so ingestion is O(1)
-            // amortised per event regardless of the shard count. One
-            // hand-off per chunk per shard serves all queries.
-            if chunk_capacity == 1 {
-                // Degenerate per-event broadcast: the pre-arena hand-off,
-                // kept allocation-free (no chunk wrapping single events).
-                while let Some(event) = source.next_event() {
-                    if kill_after.is_some_and(|kill| produced >= kill) {
-                        break;
-                    }
-                    if !broadcast_event(&mut producers, &mut dead, &mut deaths, produced, event) {
-                        break; // every drain thread died
-                    }
-                    produced += 1;
-                }
-            } else {
-                let paced = source.is_paced();
-                let mut builder = ChunkBuilder::new(chunk_capacity);
-                let mut oldest_pending: Option<Instant> = None;
-                'produce: loop {
-                    // A paced source can dribble: flush the partial chunk
-                    // once it is older than the deadline so batching never
-                    // adds hand-off latency to a paced replay. (Only paced
-                    // sources ever set `oldest_pending`, so saturated
-                    // replays pay no clock reads here.)
-                    if oldest_pending.is_some_and(|since| since.elapsed() >= PACED_FLUSH_INTERVAL) {
-                        if let Some(partial) = builder.seal() {
-                            if !broadcast_chunk(&mut producers, &mut dead, &mut deaths, partial) {
-                                break 'produce;
-                            }
-                        }
-                        oldest_pending = None;
-                    }
-                    if kill_after.is_some_and(|kill| produced >= kill) {
-                        // Injected producer kill: drop the partial builder —
-                        // the delivered stream is the sealed-chunk prefix.
-                        return (
-                            join_outputs(handles, &mut producers, &mut failures, &deaths),
-                            producers.iter().map(|p| p.stats()).collect(),
-                        );
-                    }
-                    let Some(event) = source.next_event() else { break };
-                    produced += 1;
-                    if paced && oldest_pending.is_none() {
-                        oldest_pending = Some(Instant::now());
-                    }
-                    if let Some(full) = builder.push(event) {
-                        if !broadcast_chunk(&mut producers, &mut dead, &mut deaths, full) {
-                            break 'produce;
-                        }
-                        oldest_pending = None;
-                    }
-                }
-                if let Some(partial) = builder.seal() {
-                    let _ = broadcast_chunk(&mut producers, &mut dead, &mut deaths, partial);
-                }
-            }
-
-            (
-                join_outputs(handles, &mut producers, &mut failures, &deaths),
-                producers.iter().map(|p| p.stats()).collect(),
-            )
-        });
-        self.events_processed += produced;
-        self.queue_stats = queue_stats;
-        if !failures.is_empty() {
-            return Err(EngineError::ShardsFailed { failures });
-        }
-
-        Ok(merge_outputs(outputs, queries))
+        let (results, _) = self.stream_rows(source, deciders.chunks_mut(queries), false)?;
+        Ok(merge_outputs(results.into_iter().map(|(outputs, _)| outputs).collect(), queries))
     }
 
     /// Splits the flat shard-major initial deciders into per-shard rows
@@ -995,82 +839,23 @@ impl ShardedEngine {
         self.events_processed += end;
 
         // Drain the channel once, anchor (unanchored → 0, admissions
-        // non-decreasing in send order, see [`Anchoring`]) and stable-sort
-        // so commands apply in (position, send order).
-        let mut anchoring = Anchoring::new();
-        let mut requests: Vec<(u64, LifecycleRequest)> = Vec::new();
-        if let Some(receiver) = &self.control_rx {
-            for request in receiver.try_iter() {
-                let at = anchoring.anchor(&request, 0).min(end);
-                requests.push((at, request));
-            }
-        }
-        requests.sort_by_key(|(at, _)| *at);
-
-        let shard_count = self.shards.len();
-        let ShardedEngine {
-            shards, queries, handles, live, size_predictors, window_size_hint, ..
-        } = self;
-        let mut lifecycle = EngineLifecycle {
-            queries,
-            handles,
-            live,
-            size_predictors,
-            window_size_hint: *window_size_hint,
-            shard_count,
-            report: LifecycleReport::default(),
-        };
+        // non-decreasing in send order, see [`Anchoring`]) and clamp to the
+        // end of the slice; commands apply in (position, send order).
+        let (shards, mut control) = self.split_lifecycle();
+        control.drain_channel(0);
         let mut per_shard: Vec<VecDeque<(u64, ShardCommand)>> =
-            (0..shard_count).map(|_| VecDeque::new()).collect();
-        for (at, request) in requests {
-            if let Some(commands) = lifecycle.apply(request, at) {
-                for (shard, command) in commands.into_iter().enumerate() {
-                    per_shard[shard].push_back((at, command));
+            shards.iter().map(|_| VecDeque::new()).collect();
+        for (at, request) in std::mem::take(&mut control.pending) {
+            let at = at.min(end);
+            if let Some(commands) = control.apply(request, at) {
+                for (shard, command) in per_shard.iter_mut().zip(commands) {
+                    shard.push_back((at, command));
                 }
             }
         }
-        let report = lifecycle.report;
-
-        let mut failures: Vec<ShardFailure> = Vec::new();
-        let results: Vec<LiveShardResult> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter_mut()
-                .zip(rows.into_iter().zip(per_shard))
-                .map(|(shard, (row, commands))| {
-                    scope.spawn(move || shard.run_events_live(events, commands, row))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .enumerate()
-                .filter_map(|(shard, handle)| match handle.join() {
-                    Ok(result) => Some(result),
-                    Err(payload) => {
-                        failures.push(ShardFailure {
-                            shard,
-                            message: panic_message(payload),
-                            position: None,
-                        });
-                        None
-                    }
-                })
-                .collect()
-        });
-        if !failures.is_empty() {
-            return Err(EngineError::ShardsFailed { failures });
-        }
-
-        let mut outputs = Vec::with_capacity(results.len());
-        let mut decider_rows = Vec::with_capacity(results.len());
-        for (output, row) in results {
-            outputs.push(output);
-            decider_rows.push(row);
-        }
-        Ok(LiveRunOutcome {
-            complex_events: merge_outputs(outputs, self.queries.len()),
-            deciders: decider_rows,
-            lifecycle: report,
-        })
+        let report = control.report;
+        let results = scan_slice(shards, events, rows, per_shard)?;
+        Ok(live_outcome(results, self.queries.len(), report))
     }
 
     /// The lifecycle-enabled streaming run: like
@@ -1121,13 +906,77 @@ impl ShardedEngine {
         Src: EventSource + ?Sized,
     {
         let rows = self.build_rows(deciders)?;
+        let (results, report) = self.stream_rows(source, rows, true)?;
+        Ok(live_outcome(results, self.queries.len(), report))
+    }
+
+    /// The one streaming run behind the static and live paths: one drain
+    /// thread per shard over a bounded queue, the [`produce`] loop on the
+    /// calling thread (fed by the engine's control channel when
+    /// `lifecycle` is set), then close and join. A dead drain thread is
+    /// skipped while the survivors are fed to completion; its panic comes
+    /// back as [`EngineError::ShardsFailed`] with the stream position its
+    /// hand-off first failed at.
+    fn stream_rows<Src, R>(
+        &mut self,
+        source: &mut Src,
+        rows: impl IntoIterator<Item = R>,
+        lifecycle: bool,
+    ) -> Result<(Vec<ShardResult<R>>, LifecycleReport), EngineError>
+    where
+        Src: EventSource + ?Sized,
+        R: DeciderRow + Send,
+    {
         let capacity = self.queue_capacity;
         let chunk_capacity = self.chunk_capacity;
         let check_interval = self.check_interval;
-        let shard_count = self.shards.len();
         let faults = self.fault_plan.as_ref().map(ArmedFaults::arm);
         let kill_after = faults.as_ref().and_then(|f| f.producer_kill_after());
 
+        let (shards, control) = self.split_lifecycle();
+        let mut control = lifecycle.then_some(control);
+        let (joined, delivered, sink) = std::thread::scope(|scope| {
+            let mut sink = Broadcast::default();
+            let threads: Vec<_> = shards
+                .iter_mut()
+                .zip(rows)
+                .map(|(shard, mut row)| {
+                    let queue = sink.add_queue(capacity);
+                    let faults = faults.clone();
+                    scope.spawn(move || {
+                        let outputs = shard
+                            .drain(
+                                Vec::new(),
+                                queue,
+                                &mut row,
+                                check_interval,
+                                faults.as_deref(),
+                                &mut (),
+                            )
+                            .expect("only the resilient path aborts a drain");
+                        (outputs, row)
+                    })
+                })
+                .collect();
+            let delivered =
+                produce(source, chunk_capacity, kill_after, control.as_mut(), &mut sink);
+            sink.close();
+            let joined: Vec<_> = threads.into_iter().map(|thread| thread.join()).collect();
+            (joined, delivered, sink)
+        });
+        let report = control.map(|control| control.report).unwrap_or_default();
+        // Every shard dead leaves the count unspecified, like the rest of
+        // the engine state after a failure.
+        self.events_processed += delivered.unwrap_or(0);
+        self.queue_stats = sink.producers.iter().map(QueueProducer::stats).collect();
+        Ok((collect_joined(joined, &sink.deaths)?, report))
+    }
+
+    /// Splits the engine into its shards and the lifecycle feed over the
+    /// rest of its query bookkeeping — disjoint borrows, so the producer
+    /// can admit and retire while the shards drain their queues.
+    fn split_lifecycle(&mut self) -> (&mut [Shard], LiveControl<'_>) {
+        let shard_count = self.shards.len();
         let ShardedEngine {
             shards,
             queries,
@@ -1138,7 +987,10 @@ impl ShardedEngine {
             control_rx,
             ..
         } = self;
-        let mut lifecycle = EngineLifecycle {
+        let control = LiveControl {
+            receiver: control_rx.as_ref(),
+            anchoring: Anchoring::new(),
+            pending: Vec::new(),
             queries,
             handles,
             live,
@@ -1147,187 +999,7 @@ impl ShardedEngine {
             shard_count,
             report: LifecycleReport::default(),
         };
-        let receiver = control_rx.as_ref();
-
-        let mut produced = 0u64;
-        let mut failures: Vec<ShardFailure> = Vec::new();
-        let (results, queue_stats) = std::thread::scope(|scope| {
-            let mut producers = Vec::with_capacity(shard_count);
-            let threads: Vec<_> = shards
-                .iter_mut()
-                .zip(rows)
-                .map(|(shard, row)| {
-                    let (producer, consumer) = spsc(capacity);
-                    producers.push(producer);
-                    let faults = faults.clone();
-                    scope.spawn(move || {
-                        shard.run_queue_live(consumer, row, check_interval, faults.as_deref())
-                    })
-                })
-                .collect();
-            let mut dead = vec![false; producers.len()];
-            let mut deaths: Vec<(usize, u64)> = Vec::new();
-
-            // Requests drained but not yet due, sorted by anchor position
-            // (stable within a position: send order; admissions clamped
-            // non-decreasing, see [`Anchoring`]).
-            let mut anchoring = Anchoring::new();
-            let mut pending: Vec<(u64, LifecycleRequest)> = Vec::new();
-            let mut position = 0u64;
-            let mut aborted = false;
-            let paced = source.is_paced();
-            // `None` selects the degenerate per-event hand-off.
-            let mut builder = (chunk_capacity > 1).then(|| ChunkBuilder::new(chunk_capacity));
-            let mut oldest_pending: Option<Instant> = None;
-            'produce: loop {
-                if let Some(receiver) = receiver {
-                    let mut drained_any = false;
-                    while let Ok(request) = receiver.try_recv() {
-                        let at = anchoring.anchor(&request, position);
-                        pending.push((at, request));
-                        drained_any = true;
-                    }
-                    if drained_any {
-                        pending.sort_by_key(|(at, _)| *at);
-                    }
-                }
-                if pending.first().is_some_and(|(at, _)| *at <= position) {
-                    // A due command must land *between* chunks: seal and
-                    // broadcast the partial chunk first, so the command
-                    // applies at this exact stream position on every shard.
-                    if let Some(partial) = builder.as_mut().and_then(ChunkBuilder::seal) {
-                        if !broadcast_chunk(&mut producers, &mut dead, &mut deaths, partial) {
-                            aborted = true;
-                            break 'produce;
-                        }
-                        oldest_pending = None;
-                    }
-                    while pending.first().is_some_and(|(at, _)| *at <= position) {
-                        let (_, request) = pending.remove(0);
-                        if let Some(commands) = lifecycle.apply(request, position) {
-                            for (shard, (producer, command)) in
-                                producers.iter_mut().zip(commands).enumerate()
-                            {
-                                if dead[shard] {
-                                    continue;
-                                }
-                                // Commands occupy a queue slot but no
-                                // stream position: weight 0 keeps the
-                                // measured event depth exact.
-                                let input = ShardInput::Command(Box::new(command));
-                                if !producer.push_blocking_weighted(input, 0) {
-                                    dead[shard] = true;
-                                    deaths.push((shard, position));
-                                }
-                            }
-                            if dead.iter().all(|&d| d) {
-                                aborted = true;
-                                break 'produce;
-                            }
-                        }
-                    }
-                }
-                // Paced-flush deadline, as in `run_source_per_query`.
-                if oldest_pending.is_some_and(|since| since.elapsed() >= PACED_FLUSH_INTERVAL) {
-                    if let Some(partial) = builder.as_mut().and_then(ChunkBuilder::seal) {
-                        if !broadcast_chunk(&mut producers, &mut dead, &mut deaths, partial) {
-                            aborted = true;
-                            break 'produce;
-                        }
-                    }
-                    oldest_pending = None;
-                }
-                if kill_after.is_some_and(|kill| produced >= kill) {
-                    // Injected producer kill: the partial builder is
-                    // dropped, so shards see the sealed-chunk prefix only.
-                    aborted = true;
-                    break 'produce;
-                }
-                let Some(event) = source.next_event() else { break };
-                produced += 1;
-                position += 1;
-                match &mut builder {
-                    Some(builder) => {
-                        if paced && oldest_pending.is_none() {
-                            oldest_pending = Some(Instant::now());
-                        }
-                        if let Some(full) = builder.push(event) {
-                            if !broadcast_chunk(&mut producers, &mut dead, &mut deaths, full) {
-                                aborted = true;
-                                break 'produce;
-                            }
-                            oldest_pending = None;
-                        }
-                    }
-                    None => {
-                        if !broadcast_event(
-                            &mut producers,
-                            &mut dead,
-                            &mut deaths,
-                            position - 1,
-                            event,
-                        ) {
-                            aborted = true;
-                            break 'produce; // every drain thread died
-                        }
-                    }
-                }
-            }
-            // The trailing partial chunk precedes any late request: late
-            // requests apply at the end-of-stream position, after every
-            // event.
-            if !aborted {
-                if let Some(partial) = builder.as_mut().and_then(ChunkBuilder::seal) {
-                    aborted = !broadcast_chunk(&mut producers, &mut dead, &mut deaths, partial);
-                }
-            }
-            // Requests that arrived too late for any event boundary apply
-            // at the end of the stream (admissions open no windows; retires
-            // still tear down before the flush).
-            if !aborted {
-                if let Some(receiver) = receiver {
-                    for request in receiver.try_iter() {
-                        let at = anchoring.anchor(&request, position);
-                        pending.push((at, request));
-                    }
-                }
-                pending.sort_by_key(|(at, _)| *at);
-                for (_, request) in pending.drain(..) {
-                    if let Some(commands) = lifecycle.apply(request, position) {
-                        for (shard, (producer, command)) in
-                            producers.iter_mut().zip(commands).enumerate()
-                        {
-                            if dead[shard] {
-                                continue;
-                            }
-                            let input = ShardInput::Command(Box::new(command));
-                            let _ = producer.push_blocking_weighted(input, 0);
-                        }
-                    }
-                }
-            }
-            let results = join_outputs(threads, &mut producers, &mut failures, &deaths);
-            let queue_stats: Vec<QueueStats> = producers.iter().map(|p| p.stats()).collect();
-            (results, queue_stats)
-        });
-        let report = lifecycle.report;
-        self.events_processed += produced;
-        self.queue_stats = queue_stats;
-        if !failures.is_empty() {
-            return Err(EngineError::ShardsFailed { failures });
-        }
-
-        let mut outputs = Vec::with_capacity(results.len());
-        let mut decider_rows = Vec::with_capacity(results.len());
-        for (output, row) in results {
-            outputs.push(output);
-            decider_rows.push(row);
-        }
-        Ok(LiveRunOutcome {
-            complex_events: merge_outputs(outputs, self.queries.len()),
-            deciders: decider_rows,
-            lifecycle: report,
-        })
+        (shards, control)
     }
 
     /// [`run`](Self::run) with a keep-everything decider on every shard and
@@ -1403,10 +1075,17 @@ impl ShardedEngine {
     }
 }
 
-/// The engine-side lifecycle bookkeeping, split out as disjoint field
-/// borrows so the streaming producer can admit and retire while the shards
-/// (borrowed separately) drain their queues.
-struct EngineLifecycle<'a> {
+/// The live paths' lifecycle feed: requests drained from the engine's
+/// control channel, anchored (see [`Anchoring`]), validated against the
+/// engine's query bookkeeping — split out as disjoint field borrows so the
+/// producer can admit and retire while the shards (borrowed separately)
+/// drain their queues — and turned into per-shard in-band commands.
+pub(crate) struct LiveControl<'a> {
+    receiver: Option<&'a Receiver<LifecycleRequest>>,
+    anchoring: Anchoring,
+    /// Requests drained but not yet due, sorted by anchor position (stable
+    /// within a position: send order).
+    pending: Vec<(u64, LifecycleRequest)>,
     queries: &'a mut QuerySet,
     handles: &'a mut Vec<QueryHandle>,
     live: &'a mut Vec<bool>,
@@ -1416,7 +1095,45 @@ struct EngineLifecycle<'a> {
     report: LifecycleReport,
 }
 
-impl EngineLifecycle<'_> {
+impl LiveControl<'_> {
+    /// Moves every request waiting in the channel into `pending`, anchored
+    /// no earlier than `position` (the position the producer has reached).
+    fn drain_channel(&mut self, position: u64) {
+        let Some(receiver) = self.receiver else { return };
+        let before = self.pending.len();
+        for request in receiver.try_iter() {
+            let at = self.anchoring.anchor(&request, position);
+            self.pending.push((at, request));
+        }
+        if self.pending.len() > before {
+            self.pending.sort_by_key(|(at, _)| *at);
+        }
+    }
+
+    /// The per-shard commands of every request due at `position`, in
+    /// order (rejected requests yield none), or `None` when no request is
+    /// due. Requests anchored at a position already passed apply here.
+    fn due(&mut self, position: u64) -> Option<Vec<Vec<ShardCommand>>> {
+        self.drain_channel(position);
+        let due = self.pending.partition_point(|(at, _)| *at <= position);
+        if due == 0 {
+            return None;
+        }
+        let requests: Vec<_> = self.pending.drain(..due).collect();
+        Some(
+            requests.into_iter().filter_map(|(_, request)| self.apply(request, position)).collect(),
+        )
+    }
+
+    /// The per-shard commands of every request still pending at the end of
+    /// the stream, applied at the end position `position` (admissions open
+    /// no windows; retirements still tear down before the final flush).
+    fn finish(&mut self, position: u64) -> Vec<Vec<ShardCommand>> {
+        self.drain_channel(position);
+        let requests = std::mem::take(&mut self.pending);
+        requests.into_iter().filter_map(|(_, request)| self.apply(request, position)).collect()
+    }
+
     /// Validates one request at stream `position`. Returns the per-shard
     /// commands to broadcast, or `None` when the request was rejected
     /// (stale retire handle).
@@ -1474,85 +1191,243 @@ impl EngineLifecycle<'_> {
     }
 }
 
-/// Closes every producer, joins the drain threads, and converts panics into
-/// [`ShardFailure`]s. Each failure is annotated with the stream position the
-/// producer first saw that shard's queue die at (from `deaths`), when the
-/// death was noticed before end of stream.
-fn join_outputs<T>(
-    handles: Vec<std::thread::ScopedJoinHandle<'_, T>>,
-    producers: &mut [QueueProducer<ShardInput>],
-    failures: &mut Vec<ShardFailure>,
-    deaths: &[(usize, u64)],
-) -> Vec<T> {
-    for producer in producers.iter_mut() {
-        producer.close();
+/// What one shard's run returns: per-slot outputs plus its decider row
+/// (on the live paths: admitted deciders included, retired ones dropped).
+type ShardResult<R> = (Vec<Vec<ComplexEvent>>, R);
+
+/// Where [`produce`] hands its output: sealed chunks and, on the live
+/// path, per-shard in-band lifecycle commands.
+pub(crate) trait ChunkSink {
+    /// Why delivery stopped early.
+    type Stop;
+
+    /// Delivers one sealed chunk to every shard.
+    fn chunk(&mut self, chunk: Arc<EventChunk>) -> Result<(), Self::Stop>;
+
+    /// Delivers one command per shard, taking effect at stream `position`
+    /// (between two chunks).
+    fn commands(&mut self, commands: Vec<ShardCommand>, position: u64) -> Result<(), Self::Stop>;
+}
+
+/// The one producer loop behind every streaming path. Events are pulled
+/// from `source` and appended **once** into shared sequence-stamped chunks
+/// of `chunk_capacity` events (capacity 1 ships single-event chunks); each
+/// sealed chunk goes to `sink`, whose queues' Release tail stores publish
+/// the whole batch — O(1) amortised hand-off per event regardless of the
+/// shard or query count.
+///
+/// * A paced source can dribble: a partial chunk older than
+///   [`PACED_FLUSH_INTERVAL`] is flushed, so batching never adds hand-off
+///   latency to a paced replay (saturated sources never read the clock).
+/// * With `control`, requests due at the current event boundary seal the
+///   partial chunk first and then go out as in-band commands, so they apply
+///   at the same stream position on every shard; requests that arrive too
+///   late for any boundary apply after the trailing chunk.
+/// * An injected producer kill (`kill_after`) drops the partial chunk: the
+///   delivered stream is the sealed-chunk prefix.
+///
+/// Returns the number of events delivered in sealed chunks.
+pub(crate) fn produce<Src, K>(
+    source: &mut Src,
+    chunk_capacity: usize,
+    kill_after: Option<u64>,
+    mut control: Option<&mut LiveControl<'_>>,
+    sink: &mut K,
+) -> Result<u64, K::Stop>
+where
+    Src: EventSource + ?Sized,
+    K: ChunkSink,
+{
+    let paced = source.is_paced();
+    let mut builder = ChunkBuilder::new(chunk_capacity);
+    let mut oldest_pending: Option<Instant> = None;
+    let mut produced = 0u64;
+    loop {
+        if let Some(due) = control.as_deref_mut().and_then(|control| control.due(produced)) {
+            if let Some(partial) = builder.seal() {
+                sink.chunk(partial)?;
+                oldest_pending = None;
+            }
+            for commands in due {
+                sink.commands(commands, produced)?;
+            }
+        }
+        if oldest_pending.is_some_and(|since| since.elapsed() >= PACED_FLUSH_INTERVAL) {
+            if let Some(partial) = builder.seal() {
+                sink.chunk(partial)?;
+            }
+            oldest_pending = None;
+        }
+        if kill_after.is_some_and(|kill| produced >= kill) {
+            return Ok(builder.base());
+        }
+        let Some(event) = source.next_event() else { break };
+        produced += 1;
+        if paced && oldest_pending.is_none() {
+            oldest_pending = Some(Instant::now());
+        }
+        if let Some(full) = builder.push(event) {
+            sink.chunk(full)?;
+            oldest_pending = None;
+        }
     }
-    handles
-        .into_iter()
-        .enumerate()
-        .filter_map(|(shard, handle)| match handle.join() {
-            Ok(output) => Some(output),
+    if let Some(partial) = builder.seal() {
+        sink.chunk(partial)?;
+    }
+    if let Some(control) = control {
+        for commands in control.finish(produced) {
+            sink.commands(commands, produced)?;
+        }
+    }
+    Ok(builder.base())
+}
+
+/// The static and live paths' hand-off: one bounded queue per shard, each
+/// chunk broadcast as one `Arc` reference per queue (one weighted push
+/// counting the chunk's events, blocking while the queue is full). A shard
+/// whose drain thread died is skipped from then on (cold path: at most once
+/// per shard per run), with the stream position its hand-off first failed
+/// at recorded in `deaths`; the survivors keep being fed.
+#[derive(Default)]
+struct Broadcast {
+    producers: Vec<QueueProducer<ShardInput>>,
+    dead: Vec<bool>,
+    deaths: Vec<(usize, u64)>,
+}
+
+/// Every shard's drain thread has died: nothing is left to feed.
+struct AllShardsDead;
+
+impl Broadcast {
+    /// Adds one shard's queue, returning its consumer end.
+    fn add_queue(&mut self, capacity: usize) -> QueueConsumer<ShardInput> {
+        let (producer, consumer) = spsc(capacity);
+        self.producers.push(producer);
+        self.dead.push(false);
+        consumer
+    }
+
+    /// Pushes one item per live shard (`items` yields them in shard order),
+    /// each standing for `events` stream events.
+    fn send(
+        &mut self,
+        position: u64,
+        events: u64,
+        items: impl Iterator<Item = ShardInput>,
+    ) -> Result<(), AllShardsDead> {
+        let mut alive = false;
+        for ((shard, producer), item) in self.producers.iter_mut().enumerate().zip(items) {
+            if self.dead[shard] {
+                continue;
+            }
+            if producer.push_blocking_weighted(item, events) {
+                alive = true;
+            } else {
+                self.dead[shard] = true;
+                self.deaths.push((shard, position));
+            }
+        }
+        if alive {
+            Ok(())
+        } else {
+            Err(AllShardsDead)
+        }
+    }
+
+    /// Closes every queue: the drain loops finish once they are empty.
+    fn close(&mut self) {
+        for producer in &mut self.producers {
+            producer.close();
+        }
+    }
+}
+
+impl ChunkSink for Broadcast {
+    type Stop = AllShardsDead;
+
+    fn chunk(&mut self, chunk: Arc<EventChunk>) -> Result<(), AllShardsDead> {
+        let items = std::iter::repeat_with(|| ShardInput::Chunk(Arc::clone(&chunk)));
+        self.send(chunk.base(), chunk.len() as u64, items)
+    }
+
+    fn commands(
+        &mut self,
+        commands: Vec<ShardCommand>,
+        position: u64,
+    ) -> Result<(), AllShardsDead> {
+        // Commands occupy a queue slot but no stream position: weight 0
+        // keeps the measured event depth exact.
+        let items = commands.into_iter().map(|command| ShardInput::Command(Box::new(command)));
+        self.send(position, 0, items)
+    }
+}
+
+/// The one slice scan behind the static and live batch paths: every shard
+/// runs [`Shard::run_events_core`] over the shared slice with its decider
+/// row and position-anchored commands — inline when there is a single
+/// shard, on scoped threads otherwise. Surviving shards finish before
+/// shard panics come back as [`EngineError::ShardsFailed`].
+fn scan_slice<R: DeciderRow + Send>(
+    shards: &mut [Shard],
+    events: &[Event],
+    rows: impl IntoIterator<Item = R>,
+    commands: Vec<VecDeque<(u64, ShardCommand)>>,
+) -> Result<Vec<ShardResult<R>>, EngineError> {
+    let scan = |shard: &mut Shard, mut row: R, commands: VecDeque<(u64, ShardCommand)>| {
+        let outputs = shard.run_events_core(events, commands, &mut row);
+        (outputs, row)
+    };
+    let single = shards.len() == 1;
+    let mut inputs = shards.iter_mut().zip(rows).zip(commands);
+    let joined: Vec<std::thread::Result<ShardResult<R>>> = if single {
+        let ((shard, row), commands) = inputs.next().expect("one shard");
+        vec![std::panic::catch_unwind(AssertUnwindSafe(|| scan(shard, row, commands)))]
+    } else {
+        std::thread::scope(|scope| {
+            let threads: Vec<_> = inputs
+                .map(|((shard, row), commands)| scope.spawn(move || scan(shard, row, commands)))
+                .collect();
+            threads.into_iter().map(|thread| thread.join()).collect()
+        })
+    };
+    collect_joined(joined, &[])
+}
+
+/// Unwraps joined shard results, or converts every panic into a
+/// [`ShardFailure`] annotated with the stream position the producer first
+/// saw that shard's queue die at (from `deaths`), when the death was
+/// noticed before the end of the stream.
+fn collect_joined<T>(
+    joined: Vec<std::thread::Result<T>>,
+    deaths: &[(usize, u64)],
+) -> Result<Vec<T>, EngineError> {
+    let mut results = Vec::with_capacity(joined.len());
+    let mut failures = Vec::new();
+    for (shard, result) in joined.into_iter().enumerate() {
+        match result {
+            Ok(result) => results.push(result),
             Err(payload) => {
                 let position = deaths.iter().find(|(s, _)| *s == shard).map(|&(_, p)| p);
                 failures.push(ShardFailure { shard, message: panic_message(payload), position });
-                None
             }
-        })
-        .collect()
-}
-
-/// Broadcasts one sealed chunk to every *live* shard queue — one `Arc`
-/// clone and one weighted push (counting the chunk's events) per shard,
-/// blocking per queue while it is full. A shard whose drain thread died is
-/// marked in `dead` (cold path: at most once per shard per run) with the
-/// chunk base position recorded in `deaths`, and the survivors keep being
-/// fed. Returns `false` only once every shard is dead.
-fn broadcast_chunk(
-    producers: &mut [QueueProducer<ShardInput>],
-    dead: &mut [bool],
-    deaths: &mut Vec<(usize, u64)>,
-    chunk: Arc<EventChunk>,
-) -> bool {
-    let events = chunk.len() as u64;
-    let position = chunk.base();
-    let mut alive = false;
-    for (shard, producer) in producers.iter_mut().enumerate() {
-        if dead[shard] {
-            continue;
-        }
-        if producer.push_blocking_weighted(ShardInput::Chunk(Arc::clone(&chunk)), events) {
-            alive = true;
-        } else {
-            dead[shard] = true;
-            deaths.push((shard, position));
         }
     }
-    alive
+    if failures.is_empty() {
+        Ok(results)
+    } else {
+        Err(EngineError::ShardsFailed { failures })
+    }
 }
 
-/// Broadcasts one event to every *live* shard queue: the chunk-capacity-1
-/// degenerate hand-off. Dead shards are skipped and recorded as in
-/// [`broadcast_chunk`]; returns `false` only once every shard is dead.
-fn broadcast_event(
-    producers: &mut [QueueProducer<ShardInput>],
-    dead: &mut [bool],
-    deaths: &mut Vec<(usize, u64)>,
-    position: u64,
-    event: Event,
-) -> bool {
-    let mut alive = false;
-    for (shard, producer) in producers.iter_mut().enumerate() {
-        if dead[shard] {
-            continue;
-        }
-        if producer.push_blocking(ShardInput::Event(event.clone())) {
-            alive = true;
-        } else {
-            dead[shard] = true;
-            deaths.push((shard, position));
-        }
-    }
-    alive
+/// Splits the live paths' per-shard results into merged outputs and the
+/// decider rows.
+fn live_outcome(
+    results: Vec<ShardResult<Vec<Option<BoxedDecider>>>>,
+    queries: usize,
+    lifecycle: LifecycleReport,
+) -> LiveRunOutcome {
+    let (outputs, deciders) = results.into_iter().unzip();
+    LiveRunOutcome { complex_events: merge_outputs(outputs, queries), deciders, lifecycle }
 }
 
 /// Merges the per-shard, per-query outputs into per-query single-operator

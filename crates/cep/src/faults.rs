@@ -27,8 +27,8 @@ use std::time::Duration;
 /// reaches the shard, **before** any event of that hand-off is processed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Panic shard `shard`'s drain thread when the chunk (or event, with
-    /// per-event hand-off) starting at stream position `at_position` arrives.
+    /// Panic shard `shard`'s drain thread when the chunk starting at stream
+    /// position `at_position` arrives.
     PanicShard {
         /// Index of the shard whose drain thread panics.
         shard: usize,

@@ -105,7 +105,7 @@ pub use engine::{
     ConfigError, EngineStats, ShardedEngine, DEFAULT_CHUNK_CAPACITY, DEFAULT_QUEUE_CAPACITY,
 };
 pub use faults::{FaultKind, FaultPlan};
-pub use lifecycle::{EngineControl, LifecycleReport, LiveRunOutcome, ShardInput};
+pub use lifecycle::{EngineControl, LifecycleReport, LiveRunOutcome};
 pub use matcher::{EntryRef, MatchOutcome, Matcher, WindowEntry};
 pub use operator::{Operator, OperatorStats};
 pub use pattern::{Pattern, PatternStep};

@@ -26,7 +26,6 @@
 use crate::arena::EventChunk;
 use crate::window::SharedSizePredictor;
 use crate::{BoxedDecider, Query, QueryHandle, QueryId};
-use espice_events::Event;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 
@@ -113,11 +112,8 @@ impl Anchoring {
 /// A validated lifecycle command as one shard sees it, delivered in-band
 /// through the shard's input queue (or a pre-anchored command list on the
 /// slice path) so it takes effect at the same stream position everywhere.
-///
-/// Advanced API: the engine builds these itself from [`EngineControl`]
-/// requests; they are public only so callers that drive a
-/// [`Shard`](crate::Shard) queue by hand can construct [`ShardInput`]s.
-pub enum ShardCommand {
+/// The engine builds these itself from [`EngineControl`] requests.
+pub(crate) enum ShardCommand {
     /// Create the operator for `slot` (a fresh operator: its window-id
     /// counter starts at zero, exactly like a fresh engine's would).
     Admit {
@@ -150,23 +146,21 @@ impl std::fmt::Debug for ShardCommand {
     }
 }
 
-/// What a live shard queue carries: stream events interleaved with in-band
-/// lifecycle commands. A command sits *between* two events — the producer
-/// seals any partial chunk before pushing it — so every shard applies it
-/// at the same stream position.
+/// What a shard queue carries: sealed chunks of stream events, interleaved
+/// (on the live paths) with in-band lifecycle commands. A command sits
+/// *between* two chunks — the producer seals any partial chunk before
+/// pushing it — so every shard applies it at the same stream position.
 #[derive(Debug)]
-pub enum ShardInput {
-    /// One stream event, in global stream order (the chunk-capacity-1
-    /// degenerate hand-off, and the hand-built test path).
-    Event(Event),
+pub(crate) enum ShardInput {
     /// A sealed, sequence-stamped batch of consecutive stream events,
     /// shared by reference with every shard (see
     /// [`arena`](crate::arena)): one hand-off per chunk per shard instead
-    /// of one clone per event per shard.
+    /// of one clone per event per shard. Chunk capacity 1 ships
+    /// single-event chunks.
     Chunk(Arc<EventChunk>),
-    /// A lifecycle command taking effect before the next event. Boxed so
-    /// the queue's slot size stays at the event hand-off size — commands
-    /// are rare, events are not.
+    /// A lifecycle command taking effect before the next chunk. Boxed so
+    /// the queue's slot size stays small — commands are rare, chunks are
+    /// not.
     Command(Box<ShardCommand>),
 }
 

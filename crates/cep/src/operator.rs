@@ -28,12 +28,11 @@ use crate::{
     WindowExtent, WindowId, WindowMeta,
 };
 use espice_events::{Event, EventStream};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Counters describing one operator run.
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct OperatorStats {
     /// Primitive events pushed into the operator.
     pub events_processed: u64,

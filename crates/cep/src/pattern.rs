@@ -12,14 +12,13 @@
 
 use crate::Predicate;
 use espice_events::{Event, EventType};
-use serde::{Deserialize, Serialize};
 
 /// One step of a pattern.
 ///
 /// A step matches `count` events whose type is in `types` and which satisfy
 /// `predicate`. With `distinct_types` set, the matched events must all have
 /// different types (e.g. *n different defenders*).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PatternStep {
     types: Vec<EventType>,
     count: usize,
@@ -125,7 +124,7 @@ impl PatternStep {
 /// assert_eq!(pattern.len(), 2);
 /// assert_eq!(pattern.total_events(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pattern {
     steps: Vec<PatternStep>,
 }

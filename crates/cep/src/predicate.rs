@@ -5,11 +5,10 @@
 //! or negative (falling), and Q1's defend events are pre-filtered by distance.
 
 use espice_events::Event;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Comparison operators usable in attribute predicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// `attribute == value`
     Eq,
@@ -69,7 +68,7 @@ impl fmt::Display for CmpOp {
 ///     .build();
 /// assert!(rising.eval(&event));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum Predicate {
     /// Always true (useful as a neutral element).
     #[default]

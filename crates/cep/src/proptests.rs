@@ -29,8 +29,8 @@ fn type_sequence(max_len: usize) -> impl Strategy<Value = Vec<u32>> {
     prop::collection::vec(0u32..5, 1..max_len)
 }
 
-/// Chunk capacities for the ingestion sweeps: 1 is the exact legacy
-/// per-event broadcast, the small primes land lifecycle positions and
+/// Chunk capacities for the ingestion sweeps: 1 ships single-event
+/// chunks, the small primes land lifecycle positions and
 /// stream ends mid-chunk (partial seals), 300 exceeds every generated
 /// stream so the whole run travels as one partial flush.
 fn chunk_capacities() -> impl Strategy<Value = usize> {
@@ -285,7 +285,7 @@ proptest! {
     /// Streaming-ingestion identity: for any keyed stream, shard count
     /// N ∈ {1, 2, 4}, shedding on or off, any queue capacity — down to a
     /// capacity of 1, where the producer backpressures on *every*
-    /// hand-off — and any chunk capacity (per-event broadcast at 1,
+    /// hand-off — and any chunk capacity (single-event chunks at 1,
     /// mid-stream partial seals at the primes, one whole-stream partial
     /// flush at 300), the stream-driven engine (`run_source` over shared
     /// chunks through bounded per-shard SPSC queues) emits byte-identical

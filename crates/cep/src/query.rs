@@ -1,11 +1,10 @@
 //! Query definition: pattern + window + matching policies.
 
 use crate::{Pattern, WindowSpec};
-use serde::{Deserialize, Serialize};
 
 /// Selection policy: which event instances participate in a match when
 /// several candidates exist (paper §2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SelectionPolicy {
     /// The earliest admissible instances are chosen.
     #[default]
@@ -16,7 +15,7 @@ pub enum SelectionPolicy {
 
 /// Consumption policy: whether events used by one match may be reused by
 /// subsequent matches within the same window (paper §2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ConsumptionPolicy {
     /// Matched events are consumed and cannot participate in further matches.
     #[default]
@@ -30,7 +29,7 @@ pub enum ConsumptionPolicy {
 /// All evaluation queries in the paper "skip the intermediate not matching
 /// primitive events, i.e., skip-till-next/any-match"; strict contiguity is
 /// provided for completeness and tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SkipPolicy {
     /// Irrelevant events between matched events are skipped.
     #[default]
@@ -63,7 +62,7 @@ pub enum SkipPolicy {
 ///     .build();
 /// assert_eq!(query.pattern().total_events(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     name: String,
     pattern: Pattern,

@@ -31,10 +31,10 @@ use std::sync::Arc;
 /// [`QueueProducer`] / [`QueueConsumer`] pair, which is what makes the
 /// unsynchronised slot accesses sound.
 ///
-/// Generic over the element type: the engine's shard queues carry plain
-/// [`Event`]s on the static paths and `ShardInput` (events interleaved with
-/// in-band lifecycle commands) on the live paths — the hand-off discipline
-/// is identical either way.
+/// Generic over the element type: the engine's shard queues carry
+/// `ShardInput`s (sealed event chunks, interleaved on the live paths with
+/// in-band lifecycle commands); the tests also push plain values — the
+/// hand-off discipline is identical either way.
 #[derive(Debug)]
 struct Shared<T> {
     slots: Box<[UnsafeCell<Option<T>>]>,
@@ -223,12 +223,18 @@ impl<T> QueueProducer<T> {
         unsafe {
             *self.shared.slots[tail % self.capacity].get() = Some(item);
         }
-        self.shared.tail.store(tail + 1, Ordering::Release);
-        self.pushed += events;
+        // Account the weight *before* publishing the slot: once `tail` is
+        // released the consumer may pop the item and `consume_events` its
+        // weight at once, and a counter that has not been credited yet
+        // would wrap below zero.
         if events > 0 {
             let event_depth = self.shared.event_depth.fetch_add(events, Ordering::Relaxed) + events;
             self.shared.peak_event_depth.fetch_max(event_depth, Ordering::Relaxed);
         }
+        self.shared.tail.store(tail + 1, Ordering::Release);
+        #[cfg(test)]
+        tests::after_publish();
+        self.pushed += events;
         let depth = tail + 1 - head;
         self.shared.peak_depth.fetch_max(depth, Ordering::Relaxed);
         Ok(())
@@ -591,6 +597,56 @@ mod tests {
             }
             assert_eq!(consumer.event_depth(), 0);
         });
+    }
+
+    thread_local! {
+        /// Test-only hook run by `push_weighted` on the producer's thread
+        /// right after the `tail` store publishes the item.
+        static AFTER_PUBLISH: std::cell::RefCell<Option<Box<dyn FnMut()>>> =
+            const { std::cell::RefCell::new(None) };
+    }
+
+    pub(super) fn after_publish() {
+        AFTER_PUBLISH.with(|hook| {
+            if let Some(hook) = hook.borrow_mut().as_mut() {
+                hook();
+            }
+        });
+    }
+
+    #[test]
+    fn consumer_winning_the_publish_race_never_wraps_the_event_depth() {
+        // Force the interleaving a fast consumer can hit: the producer
+        // publishes a weighted item, and the consumer pops it and retires
+        // its weight before `push_weighted` returns.
+        let (mut producer, mut consumer) = spsc::<u64>(4);
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let consumer_side = {
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                barrier.wait();
+                assert_eq!(consumer.pop(), Some(7));
+                let popped_depth = consumer.event_depth();
+                consumer.consume_events(5);
+                let consumed_depth = consumer.event_depth();
+                barrier.wait();
+                (popped_depth, consumed_depth)
+            })
+        };
+        let hook_barrier = Arc::clone(&barrier);
+        AFTER_PUBLISH.with(|hook| {
+            *hook.borrow_mut() = Some(Box::new(move || {
+                hook_barrier.wait();
+                hook_barrier.wait();
+            }));
+        });
+        let pushed = producer.push_weighted(7, 5);
+        AFTER_PUBLISH.with(|hook| hook.borrow_mut().take());
+        let (popped_depth, consumed_depth) = consumer_side.join().expect("consumer panicked");
+        assert!(pushed.is_ok());
+        assert_eq!(popped_depth, 5, "a published item's weight is already counted");
+        assert_eq!(consumed_depth, 0, "retiring the weight must not wrap the counter");
+        assert_eq!(producer.stats().peak_event_depth, 5);
     }
 
     #[test]

@@ -24,6 +24,15 @@
 //!    [`EngineError::Stalled`] after a configurable deadline instead of
 //!    blocking the producer forever.
 //!
+//! Recovery adds no second ingestion pipeline. The resilient run feeds its
+//! shards through the engine's one producer loop (its chunk sink retains
+//! every delivered chunk and replaces dead shards), and every shard
+//! incarnation — replacements included — runs the one shard drain loop,
+//! replaying its retained chunks first. The resilient parts plug in as
+//! that loop's hooks: a coordinator abort flag, and a per-chunk boundary
+//! callback that swaps out of the replay phase and publishes the
+//! checkpoint described below.
+//!
 //! # The recovery argument
 //!
 //! Window-open decisions are a pure function of the stream, and windows are
@@ -71,13 +80,14 @@
 //! [`OwnershipPolicy::StealAtOpen`]: crate::OwnershipPolicy::StealAtOpen
 //! [`SharedSizePredictor`]: crate::SharedSizePredictor
 
-use crate::arena::{ChunkBuilder, EventChunk};
-use crate::engine::{merge_outputs, ConfigError, ShardedEngine};
+use crate::arena::EventChunk;
+use crate::engine::{merge_outputs, produce, ChunkSink, ConfigError, ShardedEngine};
 use crate::faults::ArmedFaults;
+use crate::lifecycle::{ShardCommand, ShardInput};
 use crate::queue::{spsc, PushOutcome, QueueConsumer, QueueProducer, QueueStats};
-use crate::shard::ShardCheckpoint;
+use crate::shard::{DeciderRow, DrainHooks, ShardCheckpoint};
 use crate::window::WindowId;
-use crate::{ComplexEvent, FaultPlan, OperatorStats, Shard, WindowEventDecider};
+use crate::{BoxedDecider, ComplexEvent, FaultPlan, OperatorStats, Shard, WindowEventDecider};
 use espice_events::EventSource;
 use std::any::Any;
 use std::collections::VecDeque;
@@ -347,7 +357,7 @@ impl<D: Clone> ShardMonitor<D> {
 /// The replay phase of a replacement shard: while the stream position is
 /// below `swap_at` (= the crashed incarnation's last flushed boundary `c`),
 /// events run against pristine decider clones; at `swap_at` the counters
-/// are overwritten with the crashed incarnation's snapshot and the driver
+/// are overwritten with the crashed incarnation's snapshot and the drain
 /// switches to the `c`-state decider row.
 struct PhaseA<D> {
     deciders: Vec<D>,
@@ -356,76 +366,65 @@ struct PhaseA<D> {
     peaks: Vec<usize>,
 }
 
-/// How many drained events may pass between wall-clock reads while
-/// sampling is on (mirrors the non-resilient drain loop).
-const CLOCK_STRIDE: u32 = 32;
-
-/// One incarnation of a shard's drain thread on the resilient path.
-struct ShardDriver<D: WindowEventDecider + Clone> {
-    index: usize,
-    shard: Shard,
-    /// The "real" decider row: the initial row for the first incarnation,
-    /// the `c`-state clones for a replacement.
+/// The decider row of one resilient drain incarnation: the "real" row —
+/// the initial row for the first incarnation, the `c`-state clones for a
+/// replacement — shadowed by the pristine replay row while phase A lasts.
+struct ResilientRow<D> {
     deciders: Vec<D>,
     phase_a: Option<PhaseA<D>>,
-    outputs: Vec<Vec<ComplexEvent>>,
-    monitor: Arc<ShardMonitor<D>>,
-    faults: Option<Arc<ArmedFaults>>,
-    /// Producer-counted position of the next expected chunk base.
-    position: u64,
 }
 
-impl<D: WindowEventDecider + Clone> ShardDriver<D> {
-    fn aborted(&self) -> bool {
-        self.monitor.abort.load(Ordering::Acquire)
+impl<D: WindowEventDecider> DeciderRow for ResilientRow<D> {
+    type Decider = D;
+
+    fn get(&mut self, slot: usize) -> Option<&mut D> {
+        match &mut self.phase_a {
+            Some(phase) => phase.deciders.get_mut(slot),
+            None => self.deciders.get_mut(slot),
+        }
     }
 
-    /// Scans one chunk through the fused pass, advances the position, swaps
-    /// out of phase A at the boundary when due, and flushes the boundary to
-    /// the monitor.
-    fn process_chunk(&mut self, chunk: &EventChunk) {
-        if let Some(faults) = &self.faults {
-            faults.on_handoff(self.index, chunk.base(), Some(&self.monitor.abort));
-        }
-        let row = match &mut self.phase_a {
-            Some(phase) => &mut phase.deciders,
-            None => &mut self.deciders,
-        };
-        let mut row = row.as_mut_slice();
-        for event in chunk.events() {
-            self.shard.push_fused(event, &mut row, &mut self.outputs);
-        }
-        self.position = chunk.end();
-        self.maybe_swap();
-        self.flush_boundary();
+    fn install(&mut self, _slot: usize, _decider: BoxedDecider) {
+        unreachable!("the resilient path runs a static query set");
     }
 
+    fn remove(&mut self, _slot: usize) {}
+}
+
+impl<D> ResilientRow<D> {
     /// Leaves phase A once the replay has reached the crashed incarnation's
     /// last flushed boundary: counters continue from the original's values
     /// and subsequent events run against the `c`-state decider row.
-    fn maybe_swap(&mut self) {
-        if self.phase_a.as_ref().is_some_and(|phase| self.position >= phase.swap_at) {
+    fn maybe_swap(&mut self, shard: &mut Shard, position: u64) {
+        if self.phase_a.as_ref().is_some_and(|phase| position >= phase.swap_at) {
             let phase = self.phase_a.take().expect("checked above");
-            self.shard.overwrite_slot_counters(&phase.stats, &phase.peaks, phase.swap_at);
+            shard.overwrite_slot_counters(&phase.stats, &phase.peaks, phase.swap_at);
             // Closes past the boundary are new work the crashed incarnation
             // never observed: resume feeding the shared size predictor.
-            self.shard.set_shared_predictor_muted(false);
+            shard.set_shared_predictor_muted(false);
         }
     }
+}
 
-    /// Publishes the boundary at `self.position`: dedup-filtered emissions,
-    /// a fresh checkpoint (pruned against the boundary's low-water mark),
-    /// the ack for chunk retention, and — outside phase A — the
-    /// latest-boundary snapshot a future replacement would swap in. Phase A
-    /// never touches the snapshot: its pristine deciders carry
-    /// replay-local, not global, state.
-    fn flush_boundary(&mut self) {
-        let low = self.shard.oldest_open_start_pos().unwrap_or(self.position);
-        let checkpoint = self.shard.cut_checkpoint(self.position);
-        let (stats, peaks) = self.shard.slot_counters();
-        let in_phase_a = self.phase_a.is_some();
-        let mut state = self.monitor.lock();
-        for (slot, lane) in self.outputs.iter_mut().enumerate() {
+impl<D: Clone> ShardMonitor<D> {
+    /// Publishes the boundary at `position`: dedup-filtered emissions, a
+    /// fresh checkpoint (pruned against the boundary's low-water mark), the
+    /// ack for chunk retention, and — outside phase A — the latest-boundary
+    /// snapshot a future replacement would swap in. Phase A never touches
+    /// the snapshot: its pristine deciders carry replay-local, not global,
+    /// state.
+    fn flush_boundary(
+        &self,
+        shard: &Shard,
+        row: &ResilientRow<D>,
+        outputs: &mut [Vec<ComplexEvent>],
+        position: u64,
+    ) {
+        let low = shard.oldest_open_start_pos().unwrap_or(position);
+        let checkpoint = shard.cut_checkpoint(position);
+        let (stats, peaks) = shard.slot_counters();
+        let mut state = self.lock();
+        for (slot, lane) in outputs.iter_mut().enumerate() {
             if lane.is_empty() {
                 continue;
             }
@@ -446,157 +445,32 @@ impl<D: WindowEventDecider + Clone> ShardDriver<D> {
             state.checkpoints.pop_front();
         }
         let ack = state.checkpoints.front().expect("pushed above").position;
-        if !in_phase_a {
-            state.latest = LatestCell {
-                position: self.position,
-                stats,
-                peaks,
-                deciders: self.deciders.clone(),
-            };
+        if row.phase_a.is_none() {
+            state.latest = LatestCell { position, stats, peaks, deciders: row.deciders.clone() };
         }
         drop(state);
-        self.monitor.ack.store(ack, Ordering::Release);
-        self.monitor.progress.store(self.position, Ordering::Release);
+        self.ack.store(ack, Ordering::Release);
+        self.progress.store(position, Ordering::Release);
+    }
+}
+
+/// The resilient drain's hooks into [`Shard::drain`]: the coordinator's
+/// abort flag, and at every chunk boundary the phase-A swap check followed
+/// by the boundary flush to the monitor.
+impl<D: Clone> DrainHooks<ResilientRow<D>> for &ShardMonitor<D> {
+    fn abort_flag(&self) -> Option<&AtomicBool> {
+        Some(&self.abort)
     }
 
-    /// The incarnation's whole life: replay the retained snapshot, drain
-    /// the live queue until the producer closes it, flush. Returns `None`
-    /// when the coordinator aborted the run.
-    fn run(
-        mut self,
-        replay: Vec<Arc<EventChunk>>,
-        mut queue: QueueConsumer<Arc<EventChunk>>,
-        check_interval: Option<Duration>,
-    ) -> Option<(Shard, Vec<D>)> {
-        // A checkpoint cut exactly at the swap boundary makes phase A
-        // empty: swap before touching any event.
-        self.maybe_swap();
-        for chunk in &replay {
-            if self.aborted() {
-                return None;
-            }
-            self.process_chunk(chunk);
-        }
-        drop(replay);
-
-        // Live drain, mirroring the non-resilient loop's sampling cadence
-        // and backoff. Samples report this incarnation's clocks; the
-        // kept/assignment deltas are seeded from the current counters so a
-        // replacement's first sample covers only post-recovery work.
-        let started = Instant::now();
-        let mut idle = Duration::ZERO;
-        let mut drained_since_sample: u64 = 0;
-        let mut pending_consumed: u64 = 0;
-        let mut since_clock_check: u32 = 0;
-        let mut next_sample = check_interval;
-        let (seed_stats, _) = self.shard.slot_counters();
-        let mut last_assignments: u64 = seed_stats.iter().map(|s| s.assignments).sum();
-        let mut last_kept: u64 = seed_stats.iter().map(|s| s.kept).sum();
-
-        let mut backoff = crate::queue::Backoff::new();
-        loop {
-            if self.aborted() {
-                return None;
-            }
-            match queue.pop() {
-                Some(chunk) => {
-                    backoff.reset();
-                    if let Some(faults) = &self.faults {
-                        faults.on_handoff(self.index, chunk.base(), Some(&self.monitor.abort));
-                    }
-                    let Self { shard, deciders, outputs, .. } = &mut self;
-                    let mut row = deciders.as_mut_slice();
-                    for event in chunk.events() {
-                        shard.push_fused(event, &mut row, outputs);
-                        drained_since_sample += 1;
-                        pending_consumed += 1;
-                        if let Some(deadline) = next_sample {
-                            since_clock_check += 1;
-                            if since_clock_check >= CLOCK_STRIDE {
-                                since_clock_check = 0;
-                                let elapsed = started.elapsed();
-                                if elapsed >= deadline {
-                                    let interval = check_interval
-                                        .expect("sampling fires only when configured");
-                                    next_sample = Some(elapsed + interval);
-                                    shard.deliver_sample(
-                                        &mut row,
-                                        &queue,
-                                        &mut drained_since_sample,
-                                        &mut pending_consumed,
-                                        &mut last_assignments,
-                                        &mut last_kept,
-                                        elapsed,
-                                        idle,
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    queue.consume_events(pending_consumed);
-                    pending_consumed = 0;
-                    self.position = chunk.end();
-                    self.flush_boundary();
-                }
-                None if queue.is_closed() => {
-                    // The close flag is set after the final push; one more
-                    // pop settles whether anything raced in.
-                    match queue.pop() {
-                        Some(chunk) => {
-                            let Self { shard, deciders, outputs, .. } = &mut self;
-                            let mut row = deciders.as_mut_slice();
-                            for event in chunk.events() {
-                                shard.push_fused(event, &mut row, outputs);
-                                pending_consumed += 1;
-                            }
-                            queue.consume_events(pending_consumed);
-                            pending_consumed = 0;
-                            self.position = chunk.end();
-                            self.flush_boundary();
-                        }
-                        None => break,
-                    }
-                }
-                None => {
-                    if next_sample.is_some() {
-                        let wait = Instant::now();
-                        backoff.wait();
-                        idle += wait.elapsed();
-                        let elapsed = started.elapsed();
-                        if let Some(deadline) = next_sample {
-                            if elapsed >= deadline {
-                                let interval =
-                                    check_interval.expect("sampling fires only when configured");
-                                next_sample = Some(elapsed + interval);
-                                let Self { shard, deciders, .. } = &mut self;
-                                let mut row = deciders.as_mut_slice();
-                                shard.deliver_sample(
-                                    &mut row,
-                                    &queue,
-                                    &mut drained_since_sample,
-                                    &mut pending_consumed,
-                                    &mut last_assignments,
-                                    &mut last_kept,
-                                    elapsed,
-                                    idle,
-                                );
-                            }
-                        }
-                    } else {
-                        backoff.wait();
-                    }
-                }
-            }
-        }
-
-        // End of stream: close remaining windows and publish the final
-        // boundary (the position does not advance — a flush emits the open
-        // windows' matches without consuming events).
-        let Self { shard, deciders, outputs, .. } = &mut self;
-        let mut row = deciders.as_mut_slice();
-        shard.flush_core(&mut row, outputs);
-        self.flush_boundary();
-        Some((self.shard, self.deciders))
+    fn on_boundary(
+        &mut self,
+        shard: &mut Shard,
+        row: &mut ResilientRow<D>,
+        outputs: &mut [Vec<ComplexEvent>],
+        position: u64,
+    ) {
+        row.maybe_swap(shard, position);
+        self.flush_boundary(shard, row, outputs, position);
     }
 }
 
@@ -609,7 +483,7 @@ enum DriveOutcome<D> {
 
 /// Coordinator-side bookkeeping for one shard.
 struct Seat<D> {
-    producer: Option<QueueProducer<Arc<EventChunk>>>,
+    producer: Option<QueueProducer<ShardInput>>,
     monitor: Arc<ShardMonitor<D>>,
     /// Clones of the shard's *initial* deciders, taken at run start: the
     /// replay-phase row of every replacement.
@@ -619,9 +493,6 @@ struct Seat<D> {
     running: bool,
     finished: Option<(Shard, Vec<D>)>,
     failure: Option<ShardFailure>,
-    /// Failures that were recovered from (recorded for the report's
-    /// `Recovered` status and for diagnostics).
-    recovered_failures: Vec<ShardFailure>,
     last_progress: u64,
     last_change: Instant,
     queue_stats: Vec<QueueStats>,
@@ -654,6 +525,25 @@ impl<D> Seat<D> {
     }
 }
 
+/// The producer side of a resilient run: the [`ChunkSink`] the shared
+/// producer loop delivers into, plus shard replacement and the watchdog.
+struct Coordinator<'e, D> {
+    engine: &'e ShardedEngine,
+    seats: Vec<Seat<D>>,
+    /// Retained chunk log: every sealed chunk above the minimum ack across
+    /// live shards, pruned after each delivery. This is the recovery
+    /// source a replacement replays from.
+    retained: VecDeque<Arc<EventChunk>>,
+    done_tx: mpsc::Sender<(usize, DriveOutcome<D>)>,
+    done_rx: mpsc::Receiver<(usize, DriveOutcome<D>)>,
+    faults: Option<Arc<ArmedFaults>>,
+    stall_deadline: Duration,
+    max_restarts: u32,
+    /// A push re-checks the watchdog at this granularity while a queue
+    /// stays full.
+    push_slice: Duration,
+}
+
 impl ShardedEngine {
     /// Streams `source` through all shards like
     /// [`run_source_per_query`](Self::run_source_per_query), but survives
@@ -677,11 +567,11 @@ impl ShardedEngine {
     /// revives a replacement's deciders, the same way
     /// [`reset`](Self::reset) machinery revives engine state).
     ///
-    /// The stream is always chunk-framed on this path (chunk capacity 1
-    /// produces single-event chunks rather than the broadcast fast path —
-    /// a checkpoint is a chunk sequence number, so recovery needs chunks).
-    /// Queue sampling ([`set_check_interval`](Self::set_check_interval))
-    /// fires during live draining but not during replay.
+    /// The producer and drain loops are the ones every streaming path
+    /// runs: the stream is chunk-framed (a checkpoint is a chunk sequence
+    /// number), and queue sampling
+    /// ([`set_check_interval`](Self::set_check_interval)) fires during live
+    /// draining but not during replay.
     ///
     /// # Errors
     ///
@@ -712,173 +602,41 @@ impl ShardedEngine {
             });
         }
         let stall_deadline = options.stall_deadline.unwrap_or(DEFAULT_STALL_DEADLINE);
-        let max_restarts = options.max_restarts.unwrap_or(DEFAULT_MAX_RESTARTS);
         let faults = options.fault_plan.as_ref().or(self.fault_plan.as_ref()).map(ArmedFaults::arm);
         let kill_after = faults.as_ref().and_then(|f| f.producer_kill_after());
-        let capacity = self.queue_capacity;
         let chunk_capacity = self.chunk_capacity;
-        let check_interval = self.check_interval;
 
-        // Split the flat shard-major deciders into per-shard rows and move
-        // the engine's shards into their drain threads.
-        let mut rows: Vec<Vec<D>> = Vec::with_capacity(shard_count);
-        let mut iter = deciders.into_iter();
-        for _ in 0..shard_count {
-            rows.push(iter.by_ref().take(queries).collect());
-        }
+        // Move the engine's shards into their drain threads, each with its
+        // slice of the flat shard-major deciders.
         let shards = std::mem::take(&mut self.shards);
-
-        let (done_tx, done_rx) = mpsc::channel::<(usize, DriveOutcome<D>)>();
-        let mut seats: Vec<Seat<D>> = Vec::with_capacity(shard_count);
-        for (index, (shard, row)) in shards.into_iter().zip(rows).enumerate() {
-            let pristine = row.clone();
-            let monitor = Arc::new(ShardMonitor::new(queries, shard.cut_checkpoint(0), &row));
-            let (producer, consumer) = spsc(capacity);
-            spawn_drain(
-                index,
-                shard,
-                row,
-                None,
-                Vec::new(),
-                consumer,
-                Arc::clone(&monitor),
-                faults.clone(),
-                check_interval,
-                done_tx.clone(),
-                0,
-            );
-            seats.push(Seat {
-                producer: Some(producer),
-                monitor,
-                pristine,
-                restarts: 0,
-                replayed_chunks: 0,
-                running: true,
-                finished: None,
-                failure: None,
-                recovered_failures: Vec::new(),
-                last_progress: 0,
-                last_change: Instant::now(),
-                queue_stats: Vec::new(),
-            });
+        let (done_tx, done_rx) = mpsc::channel();
+        let mut coordinator = Coordinator {
+            engine: &*self,
+            seats: Vec::with_capacity(shard_count),
+            retained: VecDeque::new(),
+            done_tx,
+            done_rx,
+            faults,
+            stall_deadline,
+            max_restarts: options.max_restarts.unwrap_or(DEFAULT_MAX_RESTARTS),
+            push_slice: (stall_deadline / 4)
+                .clamp(Duration::from_millis(1), Duration::from_millis(100)),
+        };
+        let mut iter = deciders.into_iter();
+        for (index, shard) in shards.into_iter().enumerate() {
+            coordinator.seat(index, shard, iter.by_ref().take(queries).collect());
         }
-
-        // Retained chunk log: every sealed chunk above the minimum ack
-        // across live shards, pruned after each delivery. This is the
-        // recovery source a replacement replays from.
-        let mut retained: VecDeque<Arc<EventChunk>> = VecDeque::new();
-        let mut produced = 0u64;
-        let paced = source.is_paced();
-        let mut builder = ChunkBuilder::new(chunk_capacity);
-        let mut oldest_pending: Option<Instant> = None;
-        // A push re-checks the watchdog at this granularity while a queue
-        // stays full.
-        let push_slice =
-            (stall_deadline / 4).clamp(Duration::from_millis(1), Duration::from_millis(100));
-
-        let produce_result: Result<(), EngineError> = (|| {
-            'produce: loop {
-                if oldest_pending.is_some_and(|since| since.elapsed() >= PACED_FLUSH_INTERVAL) {
-                    if let Some(partial) = builder.seal() {
-                        deliver(
-                            self,
-                            &mut seats,
-                            &mut retained,
-                            partial,
-                            &done_rx,
-                            &done_tx,
-                            faults.as_ref(),
-                            check_interval,
-                            stall_deadline,
-                            max_restarts,
-                            push_slice,
-                        )?;
-                    }
-                    oldest_pending = None;
-                }
-                if kill_after.is_some_and(|kill| produced >= kill) {
-                    // Injected producer kill: drop the partial builder so
-                    // the delivered stream is the sealed-chunk prefix.
-                    break 'produce;
-                }
-                let Some(event) = source.next_event() else { break };
-                produced += 1;
-                if paced && oldest_pending.is_none() {
-                    oldest_pending = Some(Instant::now());
-                }
-                if let Some(full) = builder.push(event) {
-                    deliver(
-                        self,
-                        &mut seats,
-                        &mut retained,
-                        full,
-                        &done_rx,
-                        &done_tx,
-                        faults.as_ref(),
-                        check_interval,
-                        stall_deadline,
-                        max_restarts,
-                        push_slice,
-                    )?;
-                }
-            }
-            if kill_after.is_none_or(|kill| produced < kill) {
-                if let Some(partial) = builder.seal() {
-                    deliver(
-                        self,
-                        &mut seats,
-                        &mut retained,
-                        partial,
-                        &done_rx,
-                        &done_tx,
-                        faults.as_ref(),
-                        check_interval,
-                        stall_deadline,
-                        max_restarts,
-                        push_slice,
-                    )?;
-                }
-            }
-            Ok(())
-        })();
-        if let Err(error) = produce_result {
-            return Err(self.abort_run(seats, &done_rx, error));
-        }
-
-        // End of stream: close every live queue and collect completions,
-        // restarting crashed shards (their replacement replays and flushes
-        // against an already-closed queue) and watching for stalls.
-        for seat in &mut seats {
-            seat.retire_producer();
-        }
-        while seats.iter().any(|seat| seat.running) {
-            match done_rx.recv_timeout(push_slice) {
-                Ok((index, outcome)) => {
-                    if let Err(error) = absorb_outcome(
-                        self,
-                        &mut seats,
-                        &retained,
-                        index,
-                        outcome,
-                        faults.as_ref(),
-                        check_interval,
-                        max_restarts,
-                        &done_tx,
-                        true,
-                    ) {
-                        return Err(self.abort_run(seats, &done_rx, error));
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if let Err(error) = check_watchdog(&mut seats, stall_deadline) {
-                        return Err(self.abort_run(seats, &done_rx, error));
-                    }
-                }
-                // We hold `done_tx`, so the channel cannot disconnect.
-                Err(RecvTimeoutError::Disconnected) => unreachable!("coordinator holds a sender"),
-            }
-        }
-        drop(done_tx);
+        let outcome = produce(source, chunk_capacity, kill_after, None, &mut coordinator)
+            .and_then(|delivered| coordinator.finish().map(|()| delivered));
+        let Coordinator { seats, done_rx, .. } = coordinator;
+        // The events actually sealed and delivered — after an injected
+        // producer kill, the sealed-chunk prefix. The engine-level counter
+        // must match what the shards (and a fault-free oracle over the
+        // delivered prefix) saw.
+        let delivered = match outcome {
+            Ok(delivered) => delivered,
+            Err(error) => return Err(self.abort_run(seats, &done_rx, error)),
+        };
 
         // Assemble the report and restore the engine: finished shards move
         // back in (their counters feed `stats()`), failed seats get fresh
@@ -890,12 +648,8 @@ impl ShardedEngine {
         let mut recoveries = 0u32;
         let mut queue_stats = Vec::with_capacity(shard_count);
         for (index, mut seat) in seats.into_iter().enumerate() {
-            let flushed = {
-                let mut state = seat.monitor.lock();
-                std::mem::take(&mut state.flushed)
-            };
-            complex.push(flushed);
-            queue_stats.push(seat.merged_queue_stats(capacity));
+            complex.push(std::mem::take(&mut seat.monitor.lock().flushed));
+            queue_stats.push(seat.merged_queue_stats(self.queue_capacity));
             recoveries += seat.restarts;
             match (seat.finished.take(), seat.failure.take()) {
                 (Some((shard, row)), _) => {
@@ -919,12 +673,7 @@ impl ShardedEngine {
             }
         }
         self.shards = restored;
-        // `builder.base()` is the number of events actually sealed and
-        // delivered — equal to `produced` except after an injected producer
-        // kill, which drops the partial builder. The engine-level counter
-        // must match what the shards (and a fault-free oracle over the
-        // delivered prefix) saw.
-        self.events_processed += builder.base();
+        self.events_processed += delivered;
         self.queue_stats = queue_stats;
 
         Ok(RunReport {
@@ -968,335 +717,319 @@ impl ShardedEngine {
     }
 }
 
-/// Mirror of the engine's paced-flush deadline (see `engine.rs`).
-const PACED_FLUSH_INTERVAL: Duration = Duration::from_millis(1);
-
-/// Spawns one drain-thread incarnation for shard `index`.
-#[allow(clippy::too_many_arguments)]
-fn spawn_drain<D>(
-    index: usize,
-    shard: Shard,
-    deciders: Vec<D>,
-    phase_a: Option<PhaseA<D>>,
-    replay: Vec<Arc<EventChunk>>,
-    queue: QueueConsumer<Arc<EventChunk>>,
-    monitor: Arc<ShardMonitor<D>>,
-    faults: Option<Arc<ArmedFaults>>,
-    check_interval: Option<Duration>,
-    done_tx: mpsc::Sender<(usize, DriveOutcome<D>)>,
-    start_position: u64,
-) where
-    D: WindowEventDecider + Clone + Send + 'static,
-{
-    let outputs = vec![Vec::new(); shard.query_count()];
-    let driver = ShardDriver {
-        index,
-        shard,
-        deciders,
-        phase_a,
-        outputs,
-        monitor,
-        faults,
-        position: start_position,
-    };
-    std::thread::spawn(move || {
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            driver.run(replay, queue, check_interval)
-        }));
-        let outcome = match result {
-            Ok(Some(finished)) => DriveOutcome::Finished(Box::new(finished)),
-            Ok(None) => DriveOutcome::Aborted,
-            Err(payload) => DriveOutcome::Panicked(panic_message(payload)),
-        };
-        // The coordinator may have torn the run down already; a closed
-        // channel just means nobody is listening any more.
-        let _ = done_tx.send((index, outcome));
-    });
-}
-
-/// Delivers one sealed chunk to every running shard, handling deaths
-/// (replace or fail the shard), watching for stalls while a queue stays
-/// full, and pruning the retained log afterwards.
-#[allow(clippy::too_many_arguments)]
-fn deliver<D>(
-    engine: &ShardedEngine,
-    seats: &mut [Seat<D>],
-    retained: &mut VecDeque<Arc<EventChunk>>,
-    chunk: Arc<EventChunk>,
-    done_rx: &mpsc::Receiver<(usize, DriveOutcome<D>)>,
-    done_tx: &mpsc::Sender<(usize, DriveOutcome<D>)>,
-    faults: Option<&Arc<ArmedFaults>>,
-    check_interval: Option<Duration>,
-    stall_deadline: Duration,
-    max_restarts: u32,
-    push_slice: Duration,
-) -> Result<(), EngineError>
-where
-    D: WindowEventDecider + Clone + Send + 'static,
-{
-    let events = chunk.len() as u64;
-    retained.push_back(Arc::clone(&chunk));
-    // Restart generations before this delivery. Handling one shard's death
-    // below (`wait_for_death`) absorbs every completion that has already
-    // arrived — including another shard's simultaneous panic, whose
-    // replacement is spawned with a replay of the retained log, which
-    // already contains *this* chunk. Pushing the chunk into that fresh
-    // queue as the loop continues would deliver it twice; skipping seats
-    // whose generation advanced keeps replay and live delivery disjoint.
-    let generations: Vec<u32> = seats.iter().map(|seat| seat.restarts).collect();
-    for index in 0..seats.len() {
-        if !seats[index].running || seats[index].restarts != generations[index] {
-            continue;
-        }
-        let mut item = Arc::clone(&chunk);
-        while let Some(producer) = seats[index].producer.as_mut() {
-            match producer.push_blocking_weighted_until(item, events, Instant::now() + push_slice) {
-                PushOutcome::Pushed => break,
-                PushOutcome::ConsumerGone(_) => {
-                    // The drain thread died; its completion message is
-                    // imminent. Handle it (replace or fail the shard) and
-                    // do NOT re-push this chunk: it is already in the
-                    // retained log the replacement replays from.
-                    wait_for_death(
-                        engine,
-                        seats,
-                        retained,
-                        index,
-                        done_rx,
-                        done_tx,
-                        faults,
-                        check_interval,
-                        stall_deadline,
-                        max_restarts,
-                    )?;
-                    break;
-                }
-                PushOutcome::TimedOut(rejected) => {
-                    item = rejected;
-                    check_watchdog(seats, stall_deadline)?;
-                }
-            }
-        }
+impl<D: WindowEventDecider + Clone + Send + 'static> Coordinator<'_, D> {
+    /// Seats shard `index` with its initial decider `row` and starts its
+    /// first drain incarnation.
+    fn seat(&mut self, index: usize, shard: Shard, row: Vec<D>) {
+        let monitor =
+            Arc::new(ShardMonitor::new(shard.query_count(), shard.cut_checkpoint(0), &row));
+        let (producer, queue) = spsc(self.engine.queue_capacity);
+        self.seats.push(Seat {
+            producer: Some(producer),
+            monitor,
+            pristine: row.clone(),
+            restarts: 0,
+            replayed_chunks: 0,
+            running: true,
+            finished: None,
+            failure: None,
+            last_progress: 0,
+            last_change: Instant::now(),
+            queue_stats: Vec::new(),
+        });
+        self.spawn_drain(
+            index,
+            shard,
+            ResilientRow { deciders: row, phase_a: None },
+            Vec::new(),
+            queue,
+        );
     }
-    // Prune the retained log below the minimum acknowledgement across
-    // running shards (a replaced shard's ack stays frozen at its replay
-    // checkpoint until the replacement catches up, holding its chunks).
-    if let Some(min_ack) = seats
-        .iter()
-        .filter(|seat| seat.running)
-        .map(|seat| seat.monitor.ack.load(Ordering::Acquire))
-        .min()
-    {
-        while retained.front().is_some_and(|front| front.end() <= min_ack) {
-            retained.pop_front();
-        }
-    }
-    Ok(())
-}
 
-/// Blocks until shard `index`'s completion message arrives (it is imminent:
-/// its queue consumer was observed dropped), absorbing other shards'
-/// completions on the way, then replaces or permanently fails the shard.
-#[allow(clippy::too_many_arguments)]
-fn wait_for_death<D>(
-    engine: &ShardedEngine,
-    seats: &mut [Seat<D>],
-    retained: &VecDeque<Arc<EventChunk>>,
-    index: usize,
-    done_rx: &mpsc::Receiver<(usize, DriveOutcome<D>)>,
-    done_tx: &mpsc::Sender<(usize, DriveOutcome<D>)>,
-    faults: Option<&Arc<ArmedFaults>>,
-    check_interval: Option<Duration>,
-    stall_deadline: Duration,
-    max_restarts: u32,
-) -> Result<(), EngineError>
-where
-    D: WindowEventDecider + Clone + Send + 'static,
-{
-    let deadline = Instant::now() + stall_deadline.max(Duration::from_secs(1));
-    loop {
-        let now = Instant::now();
-        if now >= deadline {
-            // The consumer is gone but no completion arrived: treat as a
-            // wedge of the unwinding thread.
-            let last_progress = seats[index].monitor.progress.load(Ordering::Acquire);
-            return Err(EngineError::Stalled { shard: index, last_progress });
-        }
-        match done_rx.recv_timeout(deadline - now) {
-            Ok((done_index, outcome)) => {
-                absorb_outcome(
-                    engine,
-                    seats,
-                    retained,
-                    done_index,
-                    outcome,
-                    faults,
+    /// Spawns one drain-thread incarnation of shard `index`: `replay`, then
+    /// the live queue, through the shared drain loop with the shard
+    /// monitor as its boundary hooks. The outcome goes to the completion
+    /// channel.
+    fn spawn_drain(
+        &self,
+        index: usize,
+        mut shard: Shard,
+        mut row: ResilientRow<D>,
+        replay: Vec<Arc<EventChunk>>,
+        queue: QueueConsumer<ShardInput>,
+    ) {
+        let monitor = Arc::clone(&self.seats[index].monitor);
+        let faults = self.faults.clone();
+        let check_interval = self.engine.check_interval;
+        let done_tx = self.done_tx.clone();
+        std::thread::spawn(move || {
+            let result = std::panic::catch_unwind(AssertUnwindSafe(move || {
+                let mut hooks = &*monitor;
+                let drained = shard.drain(
+                    replay,
+                    queue,
+                    &mut row,
                     check_interval,
-                    max_restarts,
-                    done_tx,
-                    false,
-                )?;
-                if done_index == index {
-                    return Ok(());
-                }
+                    faults.as_deref(),
+                    &mut hooks,
+                );
+                drained.map(|_| (shard, row.deciders))
+            }));
+            let outcome = match result {
+                Ok(Some(finished)) => DriveOutcome::Finished(Box::new(finished)),
+                Ok(None) => DriveOutcome::Aborted,
+                Err(payload) => DriveOutcome::Panicked(panic_message(payload)),
+            };
+            // The coordinator may have torn the run down already; a closed
+            // channel just means nobody is listening any more.
+            let _ = done_tx.send((index, outcome));
+        });
+    }
+
+    /// End of stream: closes every live queue and collects completions,
+    /// restarting crashed shards (their replacement replays and flushes
+    /// against an already-closed queue) and watching for stalls.
+    fn finish(&mut self) -> Result<(), EngineError> {
+        for seat in &mut self.seats {
+            seat.retire_producer();
+        }
+        while self.seats.iter().any(|seat| seat.running) {
+            match self.done_rx.recv_timeout(self.push_slice) {
+                Ok((index, outcome)) => self.absorb_outcome(index, outcome, true)?,
+                Err(RecvTimeoutError::Timeout) => self.check_watchdog()?,
+                // We hold `done_tx`, so the channel cannot disconnect.
+                Err(RecvTimeoutError::Disconnected) => unreachable!("coordinator holds a sender"),
             }
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => unreachable!("coordinator holds a sender"),
+        }
+        Ok(())
+    }
+
+    /// Blocks until shard `index`'s completion message arrives (it is
+    /// imminent: its queue consumer was observed dropped), absorbing other
+    /// shards' completions on the way, then replaces or permanently fails
+    /// the shard.
+    fn wait_for_death(&mut self, index: usize) -> Result<(), EngineError> {
+        let deadline = Instant::now() + self.stall_deadline.max(Duration::from_secs(1));
+        loop {
+            let now = Instant::now();
+            if now >= deadline {
+                // The consumer is gone but no completion arrived: treat as a
+                // wedge of the unwinding thread.
+                let last_progress = self.seats[index].monitor.progress.load(Ordering::Acquire);
+                return Err(EngineError::Stalled { shard: index, last_progress });
+            }
+            match self.done_rx.recv_timeout(deadline - now) {
+                Ok((done_index, outcome)) => {
+                    self.absorb_outcome(done_index, outcome, false)?;
+                    if done_index == index {
+                        return Ok(());
+                    }
+                }
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => unreachable!("coordinator holds a sender"),
+            }
         }
     }
-}
 
-/// Applies one completion message: a finished shard is parked for the
-/// report; a panicked shard is replaced (fresh shard + checkpoint restore +
-/// retained-chunk replay) or, past its restart budget, marked failed.
-/// `closed` selects whether the replacement's queue starts closed (end of
-/// stream already reached).
-#[allow(clippy::too_many_arguments)]
-fn absorb_outcome<D>(
-    engine: &ShardedEngine,
-    seats: &mut [Seat<D>],
-    retained: &VecDeque<Arc<EventChunk>>,
-    index: usize,
-    outcome: DriveOutcome<D>,
-    faults: Option<&Arc<ArmedFaults>>,
-    check_interval: Option<Duration>,
-    max_restarts: u32,
-    done_tx: &mpsc::Sender<(usize, DriveOutcome<D>)>,
-    closed: bool,
-) -> Result<(), EngineError>
-where
-    D: WindowEventDecider + Clone + Send + 'static,
-{
-    let shard_count = seats.len();
-    let seat = &mut seats[index];
-    match outcome {
-        DriveOutcome::Finished(finished) => {
-            seat.running = false;
-            seat.finished = Some(*finished);
-            seat.retire_producer();
-        }
-        DriveOutcome::Aborted => {
-            // Only the stall teardown sets the abort flag, and it stops
-            // listening; an abort seen here means the thread noticed a
-            // flag from a previous teardown attempt — treat as failed.
-            seat.running = false;
-            seat.failure = Some(ShardFailure {
-                shard: index,
-                message: "drain thread aborted".to_string(),
-                position: Some(seat.monitor.progress.load(Ordering::Acquire)),
-            });
-            seat.retire_producer();
-        }
-        DriveOutcome::Panicked(message) => {
-            let position = seat.monitor.progress.load(Ordering::Acquire);
-            let failure = ShardFailure { shard: index, message, position: Some(position) };
-            seat.retire_producer();
-            if seat.restarts >= max_restarts {
+    /// Applies one completion message: a finished shard is parked for the
+    /// report; a panicked shard is replaced (fresh shard + checkpoint
+    /// restore + retained-chunk replay) or, past its restart budget, marked
+    /// failed. `closed` selects whether the replacement's queue starts
+    /// closed (end of stream already reached).
+    fn absorb_outcome(
+        &mut self,
+        index: usize,
+        outcome: DriveOutcome<D>,
+        closed: bool,
+    ) -> Result<(), EngineError> {
+        let shard_count = self.seats.len();
+        let seat = &mut self.seats[index];
+        let message = match outcome {
+            DriveOutcome::Finished(finished) => {
                 seat.running = false;
-                seat.failure = Some(failure);
+                seat.finished = Some(*finished);
+                seat.retire_producer();
                 return Ok(());
             }
-            seat.recovered_failures.push(failure);
-            seat.restarts += 1;
-
-            // Build the replacement: restore the replay checkpoint R̂,
-            // phase A runs pristine decider clones up to the last flushed
-            // boundary c, where the c-state snapshot takes over.
-            let (checkpoint, rewind, latest) = {
-                let mut state = seat.monitor.lock();
-                // The shared size predictor rewinds to the *newest* flushed
-                // boundary's snapshot, not the replay checkpoint's: windows
-                // that opened before the replay checkpoint but closed before
-                // that boundary are never re-opened by the replay (their
-                // output is watermark-deduped), so rewinding further back
-                // would lose their observations for good. The replayed span
-                // itself is muted instead — see `Shard::set_shared_predictor_muted`.
-                let rewind = state
-                    .checkpoints
-                    .back()
-                    .expect("monitor seeded with a checkpoint")
-                    .predictor_snapshots()
-                    .to_vec();
-                state.checkpoints.truncate(1);
-                let checkpoint =
-                    state.checkpoints.front().expect("monitor seeded with a checkpoint").clone();
-                (checkpoint, rewind, state.latest.clone())
-            };
-            let replay: Vec<Arc<EventChunk>> = retained
-                .iter()
-                .filter(|chunk| chunk.base() >= checkpoint.position)
-                .cloned()
-                .collect();
-            // Checkpoints are cut at chunk boundaries, so the replay must
-            // anchor exactly at the checkpoint: its first chunk covers the
-            // checkpoint position at offset 0 (sequence-stamped chunks are
-            // the cursor — see `EventChunk::offset_of`).
-            if let Some(first) = replay.first() {
-                debug_assert_eq!(
-                    first.offset_of(checkpoint.position),
-                    Some(0),
-                    "replay does not anchor at the restored checkpoint"
-                );
+            // Only the stall teardown sets the abort flag, and it stops
+            // listening; an abort seen here means the thread noticed a flag
+            // from a previous teardown attempt — treat as failed.
+            DriveOutcome::Aborted => {
+                seat.running = false;
+                seat.failure = Some(ShardFailure {
+                    shard: index,
+                    message: "drain thread aborted".to_string(),
+                    position: Some(seat.monitor.progress.load(Ordering::Acquire)),
+                });
+                seat.retire_producer();
+                return Ok(());
             }
-            seat.replayed_chunks += replay.len() as u64;
-            let mut shard = engine.fresh_shard(index, shard_count);
-            shard.restore_checkpoint(&checkpoint);
-            shard.restore_predictors(&rewind);
-            // Every close the replay re-derives up to the swap boundary was
-            // already observed by the crashed incarnation; stay muted until
-            // `maybe_swap` hands the counters over.
-            shard.set_shared_predictor_muted(true);
-            let phase_a = Some(PhaseA {
+            DriveOutcome::Panicked(message) => message,
+        };
+        let position = seat.monitor.progress.load(Ordering::Acquire);
+        let failure = ShardFailure { shard: index, message, position: Some(position) };
+        seat.retire_producer();
+        if seat.restarts >= self.max_restarts {
+            seat.running = false;
+            seat.failure = Some(failure);
+            return Ok(());
+        }
+        seat.restarts += 1;
+
+        // Build the replacement: restore the replay checkpoint R̂; phase A
+        // runs pristine decider clones up to the last flushed boundary c,
+        // where the c-state snapshot takes over.
+        let (checkpoint, rewind, latest) = {
+            let mut state = seat.monitor.lock();
+            // The shared size predictor rewinds to the *newest* flushed
+            // boundary's snapshot, not the replay checkpoint's: windows that
+            // opened before the replay checkpoint but closed before that
+            // boundary are never re-opened by the replay (their output is
+            // watermark-deduped), so rewinding further back would lose their
+            // observations for good. The replayed span itself is muted
+            // instead — see `Shard::set_shared_predictor_muted`.
+            let rewind = state
+                .checkpoints
+                .back()
+                .expect("monitor seeded with a checkpoint")
+                .predictor_snapshots()
+                .to_vec();
+            state.checkpoints.truncate(1);
+            let checkpoint =
+                state.checkpoints.front().expect("monitor seeded with a checkpoint").clone();
+            (checkpoint, rewind, state.latest.clone())
+        };
+        let replay: Vec<Arc<EventChunk>> = self
+            .retained
+            .iter()
+            .filter(|chunk| chunk.base() >= checkpoint.position)
+            .cloned()
+            .collect();
+        // Checkpoints are cut at chunk boundaries, so the replay must anchor
+        // exactly at the checkpoint: its first chunk covers the checkpoint
+        // position at offset 0 (sequence-stamped chunks are the cursor — see
+        // `EventChunk::offset_of`).
+        if let Some(first) = replay.first() {
+            debug_assert_eq!(
+                first.offset_of(checkpoint.position),
+                Some(0),
+                "replay does not anchor at the restored checkpoint"
+            );
+        }
+        seat.replayed_chunks += replay.len() as u64;
+        let mut row = ResilientRow {
+            deciders: latest.deciders,
+            phase_a: Some(PhaseA {
                 deciders: seat.pristine.clone(),
                 swap_at: latest.position,
                 stats: latest.stats,
                 peaks: latest.peaks,
-            });
-            let (producer, consumer) = spsc(engine.queue_capacity);
-            let start_position = checkpoint.position;
-            spawn_drain(
-                index,
-                shard,
-                latest.deciders,
-                phase_a,
-                replay,
-                consumer,
-                Arc::clone(&seat.monitor),
-                faults.cloned(),
-                check_interval,
-                done_tx.clone(),
-                start_position,
-            );
-            if closed {
-                // End of stream already: the replacement replays and
-                // flushes against a closed, empty queue.
-                drop(producer);
-            } else {
-                seat.producer = Some(producer);
-            }
-            seat.last_progress = seat.monitor.progress.load(Ordering::Acquire);
-            seat.last_change = Instant::now();
-        }
+            }),
+        };
+        let mut shard = self.engine.fresh_shard(index, shard_count);
+        shard.restore_checkpoint(&checkpoint);
+        shard.restore_predictors(&rewind);
+        // Every close the replay re-derives up to the swap boundary was
+        // already observed by the crashed incarnation; stay muted until the
+        // swap hands the counters over. A checkpoint cut exactly at the
+        // swap boundary makes phase A empty: swap before touching any event.
+        shard.set_shared_predictor_muted(true);
+        row.maybe_swap(&mut shard, checkpoint.position);
+        let (producer, queue) = spsc(self.engine.queue_capacity);
+        // End of stream already: the replacement replays and flushes
+        // against a closed, empty queue.
+        seat.producer = (!closed).then_some(producer);
+        seat.last_progress = seat.monitor.progress.load(Ordering::Acquire);
+        seat.last_change = Instant::now();
+        self.spawn_drain(index, shard, row, replay, queue);
+        Ok(())
     }
-    Ok(())
+
+    /// Advances every running seat's progress observation; a seat whose
+    /// progress has not moved within the stall deadline fails the run.
+    fn check_watchdog(&mut self) -> Result<(), EngineError> {
+        for (index, seat) in self.seats.iter_mut().enumerate() {
+            if !seat.running {
+                continue;
+            }
+            let progress = seat.monitor.progress.load(Ordering::Acquire);
+            if progress != seat.last_progress {
+                seat.last_progress = progress;
+                seat.last_change = Instant::now();
+            } else if seat.last_change.elapsed() > self.stall_deadline {
+                return Err(EngineError::Stalled { shard: index, last_progress: progress });
+            }
+        }
+        Ok(())
+    }
 }
 
-/// Advances every running seat's progress observation; a seat whose
-/// progress has not moved within `stall_deadline` fails the run.
-fn check_watchdog<D>(seats: &mut [Seat<D>], stall_deadline: Duration) -> Result<(), EngineError> {
-    for (index, seat) in seats.iter_mut().enumerate() {
-        if !seat.running {
-            continue;
+impl<D: WindowEventDecider + Clone + Send + 'static> ChunkSink for Coordinator<'_, D> {
+    type Stop = EngineError;
+
+    /// Delivers one sealed chunk to every running shard, handling deaths
+    /// (replace or fail the shard), watching for stalls while a queue stays
+    /// full, and pruning the retained log afterwards.
+    fn chunk(&mut self, chunk: Arc<EventChunk>) -> Result<(), EngineError> {
+        let events = chunk.len() as u64;
+        self.retained.push_back(Arc::clone(&chunk));
+        // Restart generations before this delivery. Handling one shard's
+        // death below (`wait_for_death`) absorbs every completion that has
+        // already arrived — including another shard's simultaneous panic,
+        // whose replacement is spawned with a replay of the retained log,
+        // which already contains *this* chunk. Pushing the chunk into that
+        // fresh queue as the loop continues would deliver it twice;
+        // skipping seats whose generation advanced keeps replay and live
+        // delivery disjoint.
+        let generations: Vec<u32> = self.seats.iter().map(|seat| seat.restarts).collect();
+        for (index, generation) in generations.into_iter().enumerate() {
+            if !self.seats[index].running || self.seats[index].restarts != generation {
+                continue;
+            }
+            let mut item = ShardInput::Chunk(Arc::clone(&chunk));
+            while let Some(producer) = self.seats[index].producer.as_mut() {
+                let deadline = Instant::now() + self.push_slice;
+                match producer.push_blocking_weighted_until(item, events, deadline) {
+                    PushOutcome::Pushed => break,
+                    PushOutcome::ConsumerGone(_) => {
+                        // The drain thread died; its completion message is
+                        // imminent. Handle it (replace or fail the shard)
+                        // and do NOT re-push this chunk: it is already in
+                        // the retained log the replacement replays from.
+                        self.wait_for_death(index)?;
+                        break;
+                    }
+                    PushOutcome::TimedOut(rejected) => {
+                        item = rejected;
+                        self.check_watchdog()?;
+                    }
+                }
+            }
         }
-        let progress = seat.monitor.progress.load(Ordering::Acquire);
-        if progress != seat.last_progress {
-            seat.last_progress = progress;
-            seat.last_change = Instant::now();
-        } else if seat.last_change.elapsed() > stall_deadline {
-            return Err(EngineError::Stalled { shard: index, last_progress: progress });
+        // Prune the retained log below the minimum acknowledgement across
+        // running shards (a replaced shard's ack stays frozen at its replay
+        // checkpoint until the replacement catches up, holding its chunks).
+        if let Some(min_ack) = self
+            .seats
+            .iter()
+            .filter(|seat| seat.running)
+            .map(|seat| seat.monitor.ack.load(Ordering::Acquire))
+            .min()
+        {
+            while self.retained.front().is_some_and(|front| front.end() <= min_ack) {
+                self.retained.pop_front();
+            }
         }
+        Ok(())
     }
-    Ok(())
+
+    fn commands(
+        &mut self,
+        _commands: Vec<ShardCommand>,
+        _position: u64,
+    ) -> Result<(), EngineError> {
+        unreachable!("the resilient path runs a static query set");
+    }
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //!
 //! With a multi-query [`QuerySet`] the shard owns one [`Operator`] **per
 //! query** and offers every event to all of them in one pass: the event is
-//! received once (one queue pop, one clone), each distinct open policy is
+//! received once (one chunk pop, scanned in place), each distinct open policy is
 //! evaluated once ([`OpenTracker`]s shared across queries whose policies
 //! coincide), and each query's own [`WindowEventDecider`] is consulted for
 //! that query's windows. This is what amortises the dominant per-event
@@ -23,7 +23,7 @@
 //! The per-query axis is a vector of *slots*. A slot is `Live` while its
 //! query executes and becomes `Retired` — a frozen statistics snapshot —
 //! once the query has been torn down. Lifecycle commands arrive **in-band**
-//! ([`ShardInput::Command`] between two events of the shard queue, or a
+//! ([`ShardInput::Command`] between two chunks of the shard queue, or a
 //! position-anchored command list on the slice path), so every shard
 //! applies them at the same stream position: an admitted query's fresh
 //! operator sees exactly the suffix of the stream from its admission point
@@ -38,11 +38,24 @@
 //! the crate-internal [`DeciderRow`] abstraction, so the two paths cannot
 //! diverge behaviourally.
 //!
+//! # One drain loop
+//!
+//! Every streaming path — static, live and resilient — drains its shard
+//! queue through the same crate-private loop, `Shard::drain`. The queue
+//! carries sealed event chunks only (chunk capacity 1 ships single-event
+//! chunks), each scanned in place by the span-fused pass, plus in-band
+//! commands on the live path. What differs per path plugs in through
+//! generic hooks — an abort flag and a chunk-boundary callback, which the
+//! resilient path uses to publish recovery checkpoints — and the queue
+//! sampling behind closed-loop overload control is one helper shared by
+//! all three.
+//!
 //! [`ShardedEngine`]: crate::ShardedEngine
 //! [`QuerySet`]: crate::QuerySet
 //! [`OpenTracker`]: crate::OpenTracker
 //! [`ShardInput::Command`]: crate::lifecycle::ShardInput
 
+use crate::arena::EventChunk;
 use crate::faults::ArmedFaults;
 use crate::lifecycle::{ShardCommand, ShardInput};
 use crate::queue::{Backoff, QueueConsumer};
@@ -56,6 +69,7 @@ use crate::{
 };
 use espice_events::{Event, SimDuration};
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -437,28 +451,13 @@ impl Shard {
         self.share_size_predictor_for(0, shared);
     }
 
-    /// Offers one event to every live slot's operator: each distinct open
-    /// policy is evaluated once, then every operator gets the event with
-    /// its group's shared open decision (forced to "don't open" while the
-    /// slot drains). `outputs[slot]` receives the complex events the slot
-    /// emitted; slots whose last open window closes while draining are torn
-    /// down on the spot.
-    pub(crate) fn push_fused<R: DeciderRow>(
-        &mut self,
-        event: &Event,
-        row: &mut R,
-        outputs: &mut [Vec<ComplexEvent>],
-    ) {
-        for (tracker, open) in self.openers.iter_mut().zip(self.opens.iter_mut()) {
-            *open = tracker.should_open(event);
-        }
-        self.push_fused_preopened(event, row, outputs);
-    }
-
-    /// [`push_fused`](Self::push_fused) with the per-group open decisions
-    /// already evaluated into `self.opens`. The span pass scans every
-    /// opener exactly once per event to find span boundaries, so the
-    /// opening events it routes here must not advance the trackers again.
+    /// Offers one event to every live slot's operator, with the per-group
+    /// open decisions already evaluated into `self.opens` (each distinct
+    /// open policy is evaluated once per event by the span pass, so this
+    /// must not advance the trackers again). A slot's decision is forced
+    /// to "don't open" while it drains; `outputs[slot]` receives the
+    /// complex events the slot emitted, and slots whose last open window
+    /// closes while draining are torn down on the spot.
     fn push_fused_preopened<R: DeciderRow>(
         &mut self,
         event: &Event,
@@ -744,321 +743,118 @@ impl Shard {
         self.run_events_core(events, VecDeque::new(), &mut &mut *deciders)
     }
 
-    /// [`run_events_core`](Self::run_events_core) over an owned boxed
-    /// decider row: the lifecycle slice path. Returns the outputs and the
-    /// row (admitted deciders included, retired ones dropped).
-    pub(crate) fn run_events_live(
-        &mut self,
-        events: &[Event],
-        commands: VecDeque<(u64, ShardCommand)>,
-        mut row: Vec<Option<BoxedDecider>>,
-    ) -> (Vec<Vec<ComplexEvent>>, Vec<Option<BoxedDecider>>) {
-        let outputs = self.run_events_core(events, commands, &mut row);
-        (outputs, row)
-    }
-
-    /// Drains a bounded input queue through this shard until the producer
-    /// closes it, then flushes. Single-query wrapper over
-    /// [`run_queue_multi`](Self::run_queue_multi).
+    /// The one queue drain loop behind every streaming path: replays
+    /// `replay` (a recovering shard's retained chunks), then pops the
+    /// bounded input queue until the producer closes it, and flushes.
+    /// Each chunk hand-off goes through the span-fused pass **once** per
+    /// shard, regardless of the query count, and in-band
+    /// [`ShardInput::Command`]s apply at the position they occupy in the
+    /// queue. Events must arrive in global stream order; the shard then
+    /// takes identical decisions to a slice-driven run over the same
+    /// events.
     ///
-    /// # Panics
+    /// When `check_interval` is set, every live slot's decider
+    /// periodically receives a [`QueueSample`] of the *measured* queue
+    /// state (see [`QueueSampler`]); replayed chunks are never sampled.
+    /// `faults` fires once per chunk hand-off with the chunk's base
+    /// position. `hooks` supplies the path-specific parts: an abort flag
+    /// (checked before every hand-off; a raised flag returns `None`) and a
+    /// boundary callback run after every chunk and after the final flush.
     ///
-    /// Panics if the shard serves more than one query.
-    pub fn run_queue<D: WindowEventDecider + ?Sized>(
+    /// Returns one output lane per slot, admissions included.
+    pub(crate) fn drain<R: DeciderRow, H: DrainHooks<R>>(
         &mut self,
-        queue: QueueConsumer<ShardInput>,
-        decider: &mut D,
-        check_interval: Option<Duration>,
-    ) -> Vec<ComplexEvent> {
-        assert_eq!(self.query_count(), 1, "multi-query shards need run_queue_multi");
-        let mut by_ref: &mut D = decider;
-        let mut outputs =
-            self.run_queue_multi(queue, std::slice::from_mut(&mut by_ref), check_interval);
-        outputs.pop().expect("one output per query")
-    }
-
-    /// Drains a bounded input queue through every query's operator until the
-    /// producer closes it, then flushes. This is the streaming counterpart
-    /// of [`run_events_multi`](Self::run_events_multi): events are processed
-    /// as they are handed over — **once** per shard, regardless of the query
-    /// count — the queue's fixed capacity backpressures the producer, and,
-    /// when `check_interval` is set, every query's decider periodically
-    /// receives a [`QueueSample`] of the *measured* queue state through
-    /// [`WindowEventDecider::queue_sample`]. The queue serves all queries,
-    /// so depth, drain count, busy time and the kept/assignment deltas are
-    /// shard-level aggregates (identical across the samples of one cycle);
-    /// only `predicted_window_size` is per query.
-    ///
-    /// Events must be pushed in global stream order; the shard then takes
-    /// identical decisions to a slice-driven run over the same events.
-    /// In-band [`ShardInput::Command`]s are applied at the position they
-    /// occupy in the queue.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `deciders.len()` differs from the query count, or an
-    /// in-band admission arrives (static rows cannot grow — admissions need
-    /// the engine's live run paths).
-    pub fn run_queue_multi<D: WindowEventDecider>(
-        &mut self,
-        queue: QueueConsumer<ShardInput>,
-        deciders: &mut [D],
-        check_interval: Option<Duration>,
-    ) -> Vec<Vec<ComplexEvent>> {
-        assert_eq!(deciders.len(), self.query_count(), "need exactly one decider per query");
-        self.run_queue_core(queue, &mut &mut *deciders, check_interval, None)
-    }
-
-    /// [`run_queue_multi`](Self::run_queue_multi) with a fault-injection
-    /// hook armed. The hook fires once per queue hand-off (per chunk, or per
-    /// event with per-event hand-off) with the stream position the hand-off
-    /// starts at; a `None` hook costs one branch per hand-off.
-    pub(crate) fn run_queue_multi_injected<D: WindowEventDecider>(
-        &mut self,
-        queue: QueueConsumer<ShardInput>,
-        deciders: &mut [D],
-        check_interval: Option<Duration>,
-        faults: Option<&ArmedFaults>,
-    ) -> Vec<Vec<ComplexEvent>> {
-        assert_eq!(deciders.len(), self.query_count(), "need exactly one decider per query");
-        self.run_queue_core(queue, &mut &mut *deciders, check_interval, faults)
-    }
-
-    /// [`run_queue_multi`](Self::run_queue_multi) over an owned boxed
-    /// decider row: the lifecycle streaming path. Returns the outputs and
-    /// the row (admitted deciders included, retired ones dropped).
-    pub(crate) fn run_queue_live(
-        &mut self,
-        queue: QueueConsumer<ShardInput>,
-        mut row: Vec<Option<BoxedDecider>>,
-        check_interval: Option<Duration>,
-        faults: Option<&ArmedFaults>,
-    ) -> (Vec<Vec<ComplexEvent>>, Vec<Option<BoxedDecider>>) {
-        let outputs = self.run_queue_core(queue, &mut row, check_interval, faults);
-        (outputs, row)
-    }
-
-    /// The shared drain loop behind both queue entry points.
-    fn run_queue_core<R: DeciderRow>(
-        &mut self,
+        replay: Vec<Arc<EventChunk>>,
         mut queue: QueueConsumer<ShardInput>,
         row: &mut R,
         check_interval: Option<Duration>,
         faults: Option<&ArmedFaults>,
-    ) -> Vec<Vec<ComplexEvent>> {
-        /// How many drained events may pass between wall-clock reads while
-        /// sampling is on (keeps `Instant::now` off the per-event path).
-        const CLOCK_STRIDE: u32 = 32;
-
+        hooks: &mut H,
+    ) -> Option<Vec<Vec<ComplexEvent>>> {
         let mut outputs: Vec<Vec<ComplexEvent>> = vec![Vec::new(); self.slots.len()];
-        let started = Instant::now();
-        let mut idle = Duration::ZERO;
-        let mut drained_since_sample: u64 = 0;
-        // Events processed but not yet retired from the queue's
-        // event-denominated depth; flushed once per popped hand-off (one
-        // relaxed RMW per chunk, not per event) and before every sample,
-        // so the depth the controller sees is exact — including the
-        // unscanned remainder of a partially processed chunk.
-        let mut pending_consumed: u64 = 0;
-        let mut since_clock_check: u32 = 0;
-        let mut next_sample = check_interval;
-        // Shard-level assignment counters at the previous sample, summed
-        // over the per-query slots (the queue serves them all; retired
-        // slots keep contributing their frozen totals so deltas stay
-        // monotone across a retirement).
-        let mut last_assignments: u64 = 0;
-        let mut last_kept: u64 = 0;
-
-        // Producer-counted stream position of the next hand-off, fed to the
-        // fault hook. Starts at the events this shard has already seen so
-        // injected positions line up with chunk bases on every path.
+        let aborted = |hooks: &H| hooks.abort_flag().is_some_and(|f| f.load(Ordering::Acquire));
+        // Producer-counted stream position reached so far: chunk bases
+        // line up with it on every path, replacements included.
         let mut position = self.events_seen;
+        for chunk in &replay {
+            if aborted(hooks) {
+                return None;
+            }
+            position = self.scan_chunk(chunk, row, faults, hooks.abort_flag(), &mut outputs);
+            hooks.on_boundary(self, row, &mut outputs, position);
+        }
+        drop(replay);
 
+        let mut sampler = check_interval.map(|interval| QueueSampler::new(interval, self));
         let mut backoff = Backoff::new();
         loop {
-            match queue.pop() {
-                Some(ShardInput::Event(event)) => {
-                    backoff.reset();
-                    if let Some(faults) = faults {
-                        faults.on_handoff(self.index, position, None);
-                    }
-                    position += 1;
-                    self.push_fused(&event, row, &mut outputs);
-                    drained_since_sample += 1;
-                    pending_consumed += 1;
-                    if let Some(deadline) = next_sample {
-                        since_clock_check += 1;
-                        if since_clock_check >= CLOCK_STRIDE {
-                            since_clock_check = 0;
-                            let elapsed = started.elapsed();
-                            if elapsed >= deadline {
-                                let interval =
-                                    check_interval.expect("sampling fires only when configured");
-                                next_sample = Some(elapsed + interval);
-                                self.deliver_sample(
-                                    row,
-                                    &queue,
-                                    &mut drained_since_sample,
-                                    &mut pending_consumed,
-                                    &mut last_assignments,
-                                    &mut last_kept,
-                                    elapsed,
-                                    idle,
-                                );
-                            }
-                        }
-                    }
-                    queue.consume_events(pending_consumed);
-                    pending_consumed = 0;
-                }
-                Some(ShardInput::Chunk(chunk)) => {
-                    // One hand-off covering a whole batch: the span-fused
-                    // pass decides each open window against whole chunk
-                    // slices at once; the sampling check fires at chunk
-                    // boundaries (chunks are capacity-bounded, so the
-                    // cadence stays within one chunk of the per-event
-                    // path's).
-                    backoff.reset();
-                    if let Some(faults) = faults {
-                        faults.on_handoff(self.index, chunk.base(), None);
-                    }
-                    position = chunk.end();
-                    self.run_span_fused(chunk.events(), row, &mut outputs);
-                    drained_since_sample += chunk.len() as u64;
-                    pending_consumed += chunk.len() as u64;
-                    if let Some(deadline) = next_sample {
-                        since_clock_check = since_clock_check
-                            .saturating_add(u32::try_from(chunk.len()).unwrap_or(u32::MAX));
-                        if since_clock_check >= CLOCK_STRIDE {
-                            since_clock_check = 0;
-                            let elapsed = started.elapsed();
-                            if elapsed >= deadline {
-                                let interval =
-                                    check_interval.expect("sampling fires only when configured");
-                                next_sample = Some(elapsed + interval);
-                                self.deliver_sample(
-                                    row,
-                                    &queue,
-                                    &mut drained_since_sample,
-                                    &mut pending_consumed,
-                                    &mut last_assignments,
-                                    &mut last_kept,
-                                    elapsed,
-                                    idle,
-                                );
-                            }
-                        }
-                    }
-                    queue.consume_events(pending_consumed);
-                    pending_consumed = 0;
-                }
-                Some(ShardInput::Command(command)) => {
-                    backoff.reset();
-                    self.apply_command(*command, row, &mut outputs);
-                }
-                None if queue.is_closed() => {
-                    // The close flag is set after the final push, so one more
-                    // pop settles whether anything raced in.
-                    match queue.pop() {
-                        Some(ShardInput::Event(event)) => {
-                            if let Some(faults) = faults {
-                                faults.on_handoff(self.index, position, None);
-                            }
-                            position += 1;
-                            self.push_fused(&event, row, &mut outputs);
-                            drained_since_sample += 1;
-                            pending_consumed += 1;
-                        }
-                        Some(ShardInput::Chunk(chunk)) => {
-                            if let Some(faults) = faults {
-                                faults.on_handoff(self.index, chunk.base(), None);
-                            }
-                            self.run_span_fused(chunk.events(), row, &mut outputs);
-                            drained_since_sample += chunk.len() as u64;
-                            pending_consumed += chunk.len() as u64;
-                        }
-                        Some(ShardInput::Command(command)) => {
-                            self.apply_command(*command, row, &mut outputs);
-                        }
-                        None => break,
-                    }
-                }
+            if aborted(hooks) {
+                return None;
+            }
+            let input = match queue.pop() {
+                Some(input) => input,
+                // The close flag is set after the final push, so one more
+                // pop settles whether anything raced in.
+                None if queue.is_closed() => match queue.pop() {
+                    Some(input) => input,
+                    None => break,
+                },
                 None => {
-                    // Empty but still open: back off (spin → yield → sleep)
-                    // until the producer hands over more work. Without
-                    // sampling no clocks are read here at all; with
-                    // sampling, the wait is timed so idle is excluded from
-                    // the busy measurement and samples keep firing so a
-                    // closed-loop decider can observe the queue draining
-                    // and deactivate shedding.
-                    if next_sample.is_some() {
-                        let wait = Instant::now();
-                        backoff.wait();
-                        idle += wait.elapsed();
-                        let elapsed = started.elapsed();
-                        if let Some(deadline) = next_sample {
-                            if elapsed >= deadline {
-                                let interval =
-                                    check_interval.expect("sampling fires only when configured");
-                                next_sample = Some(elapsed + interval);
-                                self.deliver_sample(
-                                    row,
-                                    &queue,
-                                    &mut drained_since_sample,
-                                    &mut pending_consumed,
-                                    &mut last_assignments,
-                                    &mut last_kept,
-                                    elapsed,
-                                    idle,
-                                );
-                            }
-                        }
-                    } else {
-                        backoff.wait();
+                    // Empty but still open: back off (spin → yield →
+                    // sleep). With sampling on, the wait is timed as idle
+                    // and samples keep firing, so a closed-loop decider
+                    // observes the queue draining and can stop shedding.
+                    match &mut sampler {
+                        Some(sampler) => sampler.wait(&mut backoff, self, row, &queue),
+                        None => backoff.wait(),
                     }
+                    continue;
                 }
+            };
+            backoff.reset();
+            match input {
+                ShardInput::Chunk(chunk) => {
+                    position =
+                        self.scan_chunk(&chunk, row, faults, hooks.abort_flag(), &mut outputs);
+                    // One relaxed RMW per chunk retires its events from the
+                    // event-denominated depth before any sample reads it.
+                    queue.consume_events(chunk.len() as u64);
+                    if let Some(sampler) = &mut sampler {
+                        sampler.drained(chunk.len(), self, row, &queue);
+                    }
+                    hooks.on_boundary(self, row, &mut outputs, position);
+                }
+                ShardInput::Command(command) => self.apply_command(*command, row, &mut outputs),
             }
         }
-        queue.consume_events(pending_consumed);
+        // End of stream: close the remaining windows. The position does not
+        // advance — a flush emits matches without consuming events.
         self.flush_core(row, &mut outputs);
-        outputs
+        hooks.on_boundary(self, row, &mut outputs, position);
+        Some(outputs)
     }
 
-    /// Hands every live slot's decider one measured [`QueueSample`]. The
-    /// reported depth is **event-denominated**: processed events are first
-    /// retired from the queue's event depth (`pending_consumed`), so a
-    /// half-scanned chunk contributes exactly its unprocessed remainder —
-    /// the `f · qmax` check must never mistake a half-full chunk for a
-    /// full queue, nor a queue of fat chunks for a near-empty one.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn deliver_sample<R: DeciderRow, I>(
-        &self,
+    /// One chunk hand-off: fires the fault hook at the chunk's base, runs
+    /// the span-fused pass over the chunk in place, and returns the stream
+    /// position after it.
+    fn scan_chunk<R: DeciderRow>(
+        &mut self,
+        chunk: &EventChunk,
         row: &mut R,
-        queue: &QueueConsumer<I>,
-        drained_since_sample: &mut u64,
-        pending_consumed: &mut u64,
-        last_assignments: &mut u64,
-        last_kept: &mut u64,
-        elapsed: Duration,
-        idle: Duration,
-    ) {
-        queue.consume_events(*pending_consumed);
-        *pending_consumed = 0;
-        let assignments: u64 =
-            (0..self.slots.len()).map(|slot| self.slot_stats(slot).assignments).sum();
-        let kept: u64 = (0..self.slots.len()).map(|slot| self.slot_stats(slot).kept).sum();
-        let mut sample = QueueSample {
-            elapsed: SimDuration::from_secs_f64(elapsed.as_secs_f64()),
-            busy: SimDuration::from_secs_f64((elapsed - idle).as_secs_f64()),
-            depth: queue.event_depth() as usize,
-            drained: *drained_since_sample,
-            assignments: assignments - *last_assignments,
-            kept: kept - *last_kept,
-            predicted_window_size: 0,
-        };
-        *drained_since_sample = 0;
-        *last_assignments = assignments;
-        *last_kept = kept;
+        faults: Option<&ArmedFaults>,
+        abort: Option<&AtomicBool>,
+        outputs: &mut [Vec<ComplexEvent>],
+    ) -> u64 {
+        if let Some(faults) = faults {
+            faults.on_handoff(self.index, chunk.base(), abort);
+        }
+        self.run_span_fused(chunk.events(), row, outputs);
+        chunk.end()
+    }
+
+    /// Hands every live slot's decider `sample`, stamped with the slot's
+    /// own predicted window size.
+    fn deliver_sample<R: DeciderRow>(&self, row: &mut R, mut sample: QueueSample) {
         for (slot, state) in self.slots.iter().enumerate() {
             if let SlotRuntime::Live { operator, .. } = state {
                 if let Some(decider) = row.get(slot) {
@@ -1067,6 +863,15 @@ impl Shard {
                 }
             }
         }
+    }
+
+    /// Shard-level `(assignments, kept)` totals over every slot, retired
+    /// ones included (their frozen totals keep sample deltas monotone
+    /// across a retirement).
+    fn assignment_totals(&self) -> (u64, u64) {
+        (0..self.slots.len())
+            .map(|slot| self.slot_stats(slot))
+            .fold((0, 0), |(a, k), stats| (a + stats.assignments, k + stats.kept))
     }
 
     /// Resets the run state of every live slot (operators and the shared
@@ -1237,6 +1042,134 @@ impl Shard {
     }
 }
 
+/// The path-specific parts of [`Shard::drain`]. Static and live runs use
+/// the no-op `()`; the resilient path publishes every chunk boundary to its
+/// shard monitor and can be aborted by the coordinator. Generic, not `dyn`:
+/// the no-op hooks compile away.
+pub(crate) trait DrainHooks<R> {
+    /// The flag a coordinator raises to stop the drain (injected stalls
+    /// poll it too); `None` means the drain is never aborted.
+    fn abort_flag(&self) -> Option<&AtomicBool> {
+        None
+    }
+
+    /// Runs after every chunk and after the end-of-stream flush, with the
+    /// stream position the shard has reached.
+    fn on_boundary(
+        &mut self,
+        _shard: &mut Shard,
+        _row: &mut R,
+        _outputs: &mut [Vec<ComplexEvent>],
+        _position: u64,
+    ) {
+    }
+}
+
+impl<R> DrainHooks<R> for () {}
+
+/// How many drained events may pass between wall-clock reads while
+/// sampling is on (keeps `Instant::now` off the per-chunk path for small
+/// chunks).
+const CLOCK_STRIDE: u32 = 32;
+
+/// The wall-clock queue sampling of one drain loop: every `interval` it
+/// hands each live slot's decider a [`QueueSample`]. The queue serves all
+/// queries, so depth, drain count, busy time and the kept/assignment
+/// deltas are shard-level aggregates (identical across the samples of one
+/// cycle); only `predicted_window_size` is per slot. The reported depth is
+/// **event-denominated** and exact: the drain retires each chunk's events
+/// before sampling, so the `f · qmax` check never mistakes a queue of fat
+/// chunks for a near-empty one.
+struct QueueSampler {
+    interval: Duration,
+    started: Instant,
+    next: Duration,
+    /// Time spent waiting on an empty queue (excluded from `busy`).
+    idle: Duration,
+    drained: u64,
+    since_clock_check: u32,
+    last_assignments: u64,
+    last_kept: u64,
+}
+
+impl QueueSampler {
+    /// Starts the clocks now. The kept/assignment deltas are seeded from
+    /// the shard's current counters, so a recovered shard's first sample
+    /// covers only its own work.
+    fn new(interval: Duration, shard: &Shard) -> Self {
+        let (last_assignments, last_kept) = shard.assignment_totals();
+        QueueSampler {
+            interval,
+            started: Instant::now(),
+            next: interval,
+            idle: Duration::ZERO,
+            drained: 0,
+            since_clock_check: 0,
+            last_assignments,
+            last_kept,
+        }
+    }
+
+    /// Accounts `events` drained events; reads the clock at most once per
+    /// [`CLOCK_STRIDE`] events and samples when due.
+    fn drained<R: DeciderRow>(
+        &mut self,
+        events: usize,
+        shard: &Shard,
+        row: &mut R,
+        queue: &QueueConsumer<ShardInput>,
+    ) {
+        self.drained += events as u64;
+        self.since_clock_check =
+            self.since_clock_check.saturating_add(u32::try_from(events).unwrap_or(u32::MAX));
+        if self.since_clock_check >= CLOCK_STRIDE {
+            self.since_clock_check = 0;
+            self.sample_if_due(shard, row, queue);
+        }
+    }
+
+    /// Waits one backoff round on an empty queue, timed as idle, and
+    /// samples when due.
+    fn wait<R: DeciderRow>(
+        &mut self,
+        backoff: &mut Backoff,
+        shard: &Shard,
+        row: &mut R,
+        queue: &QueueConsumer<ShardInput>,
+    ) {
+        let wait = Instant::now();
+        backoff.wait();
+        self.idle += wait.elapsed();
+        self.sample_if_due(shard, row, queue);
+    }
+
+    fn sample_if_due<R: DeciderRow>(
+        &mut self,
+        shard: &Shard,
+        row: &mut R,
+        queue: &QueueConsumer<ShardInput>,
+    ) {
+        let elapsed = self.started.elapsed();
+        if elapsed < self.next {
+            return;
+        }
+        self.next = elapsed + self.interval;
+        let (assignments, kept) = shard.assignment_totals();
+        let sample = QueueSample {
+            elapsed: SimDuration::from_secs_f64(elapsed.as_secs_f64()),
+            busy: SimDuration::from_secs_f64((elapsed - self.idle).as_secs_f64()),
+            depth: queue.event_depth() as usize,
+            drained: std::mem::take(&mut self.drained),
+            assignments: assignments - self.last_assignments,
+            kept: kept - self.last_kept,
+            predicted_window_size: 0,
+        };
+        self.last_assignments = assignments;
+        self.last_kept = kept;
+        shard.deliver_sample(row, sample);
+    }
+}
+
 /// A replay checkpoint of one shard, cut at a chunk boundary by the
 /// resilient drain loop (see [`crate::resilience`]). Plain data, cheap to
 /// clone: open-tracker slide state plus one window-id counter per slot.
@@ -1368,6 +1301,43 @@ mod tests {
         shard.set_ownership_policy(OwnershipPolicy::StealAtOpen);
     }
 
+    /// Drives `events` through `shard`'s queue drain as chunks of `chunk`
+    /// events over a queue of `slots` slots, returning the per-slot outputs
+    /// and the events the producer pushed.
+    fn drain_chunked<D: WindowEventDecider + Send>(
+        shard: &mut Shard,
+        mut deciders: &mut [D],
+        events: &[Event],
+        chunk: usize,
+        slots: usize,
+        check_interval: Option<Duration>,
+    ) -> (Vec<Vec<ComplexEvent>>, u64) {
+        let (mut producer, queue) = crate::queue::spsc(slots);
+        std::thread::scope(|scope| {
+            let drain = scope.spawn(|| {
+                shard
+                    .drain(Vec::new(), queue, &mut deciders, check_interval, None, &mut ())
+                    .expect("never aborted")
+            });
+            let mut push = |chunk: Arc<EventChunk>| {
+                let weight = chunk.len() as u64;
+                assert!(producer.push_blocking_weighted(ShardInput::Chunk(chunk), weight));
+            };
+            let mut builder = crate::arena::ChunkBuilder::new(chunk);
+            for event in events {
+                if let Some(full) = builder.push(event.clone()) {
+                    push(full);
+                }
+            }
+            if let Some(partial) = builder.seal() {
+                push(partial);
+            }
+            producer.close();
+            let outputs = drain.join().expect("drain thread panicked");
+            (outputs, producer.stats().pushed)
+        })
+    }
+
     #[test]
     fn run_queue_equals_run_events() {
         let events: Vec<Event> =
@@ -1376,57 +1346,31 @@ mod tests {
         let expected = slice_shard.run_events(&events, &mut KeepAll);
 
         let mut queue_shard = Shard::new(query(), 0, 2);
-        let (mut producer, consumer) = crate::queue::spsc(4);
-        let streamed = std::thread::scope(|scope| {
-            let handle = scope.spawn(|| queue_shard.run_queue(consumer, &mut KeepAll, None));
-            for event in &events {
-                assert!(producer.push_blocking(ShardInput::Event(event.clone())));
-            }
-            producer.close();
-            handle.join().expect("drain thread panicked")
-        });
-        assert_eq!(streamed, expected);
+        let (mut streamed, pushed) =
+            drain_chunked(&mut queue_shard, &mut [KeepAll], &events, 7, 4, None);
+        assert_eq!(streamed.pop().expect("one query"), expected);
         assert_eq!(queue_shard.stats(), slice_shard.stats());
-        assert_eq!(producer.stats().pushed, events.len() as u64);
+        assert_eq!(pushed, events.len() as u64, "pushed counts events");
     }
 
     #[test]
     fn chunked_queue_input_equals_per_event_input() {
+        // Single-event chunks and 64-event chunks (with a partial tail)
+        // must scan identically — the shard must not care how the producer
+        // batched.
         let events: Vec<Event> =
             (0..90).map(|i| ev(if i % 3 == 0 { 0 } else { 1 }, i, i)).collect();
         let mut slice_shard = Shard::new(query(), 0, 2);
         let expected = slice_shard.run_events(&events, &mut KeepAll);
 
-        // Hand the same stream over as a mix of full chunks, a loose
-        // per-event stretch, and a partial flush — the shard must not care
-        // how the producer batched.
-        let mut queue_shard = Shard::new(query(), 0, 2);
-        let (mut producer, consumer) = crate::queue::spsc(4);
-        let streamed = std::thread::scope(|scope| {
-            let handle = scope.spawn(|| queue_shard.run_queue(consumer, &mut KeepAll, None));
-            let mut builder = crate::arena::ChunkBuilder::new(7);
-            for (i, event) in events.iter().enumerate() {
-                if (40..50).contains(&i) {
-                    if let Some(partial) = builder.seal() {
-                        let weight = partial.len() as u64;
-                        assert!(producer.push_blocking_weighted(ShardInput::Chunk(partial), weight));
-                    }
-                    assert!(producer.push_blocking(ShardInput::Event(event.clone())));
-                } else if let Some(full) = builder.push(event.clone()) {
-                    let weight = full.len() as u64;
-                    assert!(producer.push_blocking_weighted(ShardInput::Chunk(full), weight));
-                }
-            }
-            if let Some(partial) = builder.seal() {
-                let weight = partial.len() as u64;
-                assert!(producer.push_blocking_weighted(ShardInput::Chunk(partial), weight));
-            }
-            producer.close();
-            handle.join().expect("drain thread panicked")
-        });
-        assert_eq!(streamed, expected);
-        assert_eq!(queue_shard.stats(), slice_shard.stats());
-        assert_eq!(producer.stats().pushed, events.len() as u64, "pushed counts events");
+        for chunk in [1, 64] {
+            let mut queue_shard = Shard::new(query(), 0, 2);
+            let (mut streamed, pushed) =
+                drain_chunked(&mut queue_shard, &mut [KeepAll], &events, chunk, 4, None);
+            assert_eq!(streamed.pop().expect("one query"), expected, "chunk {chunk}");
+            assert_eq!(queue_shard.stats(), slice_shard.stats(), "chunk {chunk}");
+            assert_eq!(pushed, events.len() as u64, "pushed counts events");
+        }
     }
 
     #[test]
@@ -1514,25 +1458,15 @@ mod tests {
         let expected = slice_shard.run_events_multi(&events, &mut slice_deciders);
 
         let mut queue_shard = Shard::for_queries(&set, 0, 1);
-        let (mut producer, consumer) = crate::queue::spsc(4);
-        let streamed = std::thread::scope(|scope| {
-            let handle = scope.spawn(|| {
-                let mut deciders = vec![KeepAll; 2];
-                queue_shard.run_queue_multi(consumer, &mut deciders, None)
-            });
-            for event in &events {
-                assert!(producer.push_blocking(ShardInput::Event(event.clone())));
-            }
-            producer.close();
-            handle.join().expect("drain thread panicked")
-        });
+        let (streamed, _) =
+            drain_chunked(&mut queue_shard, &mut [KeepAll, KeepAll], &events, 5, 4, None);
         assert_eq!(streamed, expected);
         assert_eq!(queue_shard.stats(), slice_shard.stats());
     }
 
     #[test]
     fn run_queue_delivers_samples_when_sampling_is_on() {
-        #[derive(Debug, Default)]
+        #[derive(Debug, Default, Clone)]
         struct Sampling {
             samples: Vec<crate::QueueSample>,
         }
@@ -1550,36 +1484,50 @@ mod tests {
             }
         }
 
+        const CHUNK: usize = 4;
+        const SLOTS: usize = 64;
+        let interval = Duration::from_micros(50);
         let events: Vec<Event> =
             (0..4000).map(|i| ev(if i % 3 == 0 { 0 } else { 1 }, i, i)).collect();
+
+        // Both paths run the same drain loop and sampler: a shard drained
+        // by hand, and the resilient engine path.
         let mut shard = Shard::new(query(), 0, 1);
-        let mut decider = Sampling::default();
-        let (mut producer, consumer) = crate::queue::spsc(64);
-        std::thread::scope(|scope| {
-            let handle = scope.spawn(|| {
-                shard.run_queue(consumer, &mut decider, Some(std::time::Duration::from_micros(50)))
-            });
-            for event in &events {
-                assert!(producer.push_blocking(ShardInput::Event(event.clone())));
+        let mut deciders = [Sampling::default()];
+        let _ = drain_chunked(&mut shard, &mut deciders, &events, CHUNK, SLOTS, Some(interval));
+        let [drained] = deciders;
+        let by_hand = (drained.samples, shard.stats().assignments);
+
+        let mut engine = crate::ShardedEngine::new(query(), 1);
+        engine.set_chunk_capacity(CHUNK);
+        engine.set_queue_capacity(SLOTS);
+        engine.set_check_interval(Some(interval));
+        let mut source = espice_events::SliceSource::new(&events);
+        let report = engine
+            .run_source_resilient(&mut source, vec![Sampling::default()], &Default::default())
+            .expect("fault-free resilient run");
+        let mut row = report.deciders.into_iter().next().flatten().expect("healthy shard");
+        let resilient = (row.pop().expect("one query").samples, engine.stats().merged.assignments);
+
+        for (path, (samples, total_assignments)) in
+            [("shard drain", by_hand), ("resilient path", resilient)]
+        {
+            assert!(!samples.is_empty(), "{path}: sampling was configured but never fired");
+            let drained: u64 = samples.iter().map(|s| s.drained).sum();
+            assert!(drained <= events.len() as u64, "{path}");
+            for pair in samples.windows(2) {
+                assert!(pair[0].elapsed <= pair[1].elapsed, "{path}");
+                assert!(pair[0].busy <= pair[1].busy, "{path}");
             }
-            producer.close();
-            handle.join().expect("drain thread panicked");
-        });
-        assert!(!decider.samples.is_empty(), "sampling was configured but never fired");
-        let drained: u64 = decider.samples.iter().map(|s| s.drained).sum();
-        assert!(drained <= events.len() as u64);
-        for pair in decider.samples.windows(2) {
-            assert!(pair[0].elapsed <= pair[1].elapsed);
-            assert!(pair[0].busy <= pair[1].busy);
-        }
-        let kept: u64 = decider.samples.iter().map(|s| s.kept).sum();
-        let assignments: u64 = decider.samples.iter().map(|s| s.assignments).sum();
-        assert_eq!(kept, assignments, "KeepAll keeps every assignment");
-        assert!(assignments <= shard.stats().assignments);
-        for sample in &decider.samples {
-            assert!(sample.busy <= sample.elapsed);
-            assert!(sample.depth <= 64);
-            assert_eq!(sample.predicted_window_size, 3);
+            let kept: u64 = samples.iter().map(|s| s.kept).sum();
+            let assignments: u64 = samples.iter().map(|s| s.assignments).sum();
+            assert_eq!(kept, assignments, "{path}: KeepAll keeps every assignment");
+            assert!(assignments <= total_assignments, "{path}");
+            for sample in &samples {
+                assert!(sample.busy <= sample.elapsed, "{path}");
+                assert!(sample.depth <= SLOTS * CHUNK, "{path}: depth counts queued events");
+                assert_eq!(sample.predicted_window_size, 3, "{path}");
+            }
         }
     }
 
@@ -1623,8 +1571,8 @@ mod tests {
                 predictor: Arc::new(SharedSizePredictor::new(4)),
             },
         ));
-        let row: Vec<Option<BoxedDecider>> = vec![Some(Box::new(KeepAll) as BoxedDecider)];
-        let (outputs, row) = shard.run_events_live(&events, commands, row);
+        let mut row: Vec<Option<BoxedDecider>> = vec![Some(Box::new(KeepAll) as BoxedDecider)];
+        let outputs = shard.run_events_core(&events, commands, &mut row);
         assert_eq!(outputs.len(), 2);
         assert_eq!(row.len(), 2);
         assert!(row[1].is_some(), "admitted decider must survive the run");
@@ -1650,8 +1598,8 @@ mod tests {
         let mut shard = Shard::new(query_sized(6), 0, 1);
         let mut commands = VecDeque::new();
         commands.push_back((10, ShardCommand::Retire { slot: 0 }));
-        let row: Vec<Option<BoxedDecider>> = vec![Some(Box::new(KeepAll) as BoxedDecider)];
-        let (outputs, row) = shard.run_events_live(&events, commands, row);
+        let mut row: Vec<Option<BoxedDecider>> = vec![Some(Box::new(KeepAll) as BoxedDecider)];
+        let outputs = shard.run_events_core(&events, commands, &mut row);
         assert!(row[0].is_none(), "retired decider must be torn down");
         assert_eq!(shard.live_count(), 0);
 

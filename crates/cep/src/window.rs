@@ -11,7 +11,6 @@
 //! * Q4 uses a count-based sliding window (slide = 100 events).
 
 use espice_events::{Event, EventType, SequenceNumber, SimDuration, Timestamp};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identifier of a window instance within one query's operator run.
@@ -38,7 +37,7 @@ pub type QueryId = u32;
 /// re-admitted query — [`EngineControl::retire`](crate::EngineControl::retire)
 /// rejects any handle whose `(slot, generation)` pair does not match the
 /// currently live admission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QueryHandle {
     /// The query's slot on the engine's per-query axis (its [`QueryId`]).
     pub slot: QueryId,
@@ -48,7 +47,7 @@ pub struct QueryHandle {
 }
 
 /// When new windows are opened.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OpenPolicy {
     /// A new window is opened for every incoming event whose type is in the
     /// given set (a logical predicate); the opening event is the first event
@@ -61,7 +60,7 @@ pub enum OpenPolicy {
 }
 
 /// When a window closes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowExtent {
     /// The window contains exactly this many events.
     Count(usize),
@@ -97,7 +96,7 @@ impl WindowExtent {
 /// let time = WindowSpec::time_on_types(vec![EventType::from_index(0)], SimDuration::from_secs(15));
 /// assert_eq!(time.expected_size(), None);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowSpec {
     open: OpenPolicy,
     extent: WindowExtent,
@@ -189,7 +188,7 @@ impl WindowSpec {
 /// shedding decision.
 ///
 /// [`WindowEventDecider`]: crate::WindowEventDecider
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowMeta {
     /// The window's identifier (unique within one query's operator run; the
     /// pair `(query, id)` is unique across a whole multi-query engine).
@@ -283,7 +282,7 @@ impl OpenTracker {
 /// the model dimension `N`; at shedding time the incoming window's size must
 /// be predicted because events are processed on arrival. This predictor keeps
 /// an exponentially weighted moving average of closed-window sizes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SizePredictor {
     estimate: f64,
     alpha: f64,

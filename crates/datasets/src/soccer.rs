@@ -23,10 +23,9 @@
 use espice_events::{AttributeValue, Event, EventType, Timestamp, TypeRegistry, VecStream};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the synthetic soccer stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SoccerConfig {
     /// Players per team.
     pub players_per_team: usize,

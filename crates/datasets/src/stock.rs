@@ -24,11 +24,10 @@
 use espice_events::{AttributeValue, Event, EventType, Timestamp, TypeRegistry, VecStream};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Configuration of the synthetic stock-quote stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StockConfig {
     /// Total number of stock symbols (the paper uses 500).
     pub num_symbols: usize,

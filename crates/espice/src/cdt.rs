@@ -12,7 +12,6 @@
 //! `CDT(u) ≥ x` is used as the threshold.
 
 use crate::model::{PositionShares, UtilityTable};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// The number of distinct utility values (`UT` cells hold integers in
@@ -34,7 +33,7 @@ pub const UTILITY_LEVELS: usize = 101;
 /// assert_eq!(cdt.threshold_for(3.0), Some(10));
 /// assert_eq!(cdt.threshold_for(10.0), None);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cdt {
     cumulative: Vec<f64>,
 }

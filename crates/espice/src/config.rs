@@ -1,10 +1,8 @@
 //! Configuration of the utility model.
 
-use serde::{Deserialize, Serialize};
-
 /// How raw occurrence counts are normalised into the `[0, 100]` utility range
 /// of the utility table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum NormalisationMode {
     /// Each cell is the conditional probability that an event of this type at
     /// this position contributes to a complex event, given that such an event
@@ -25,7 +23,7 @@ pub enum NormalisationMode {
 }
 
 /// Configuration of the utility model (`UT` dimensions and normalisation).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelConfig {
     /// The number of window positions `N` the model is built for. For
     /// count-based windows this is the window size; for variable-size

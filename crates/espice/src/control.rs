@@ -46,7 +46,6 @@
 use crate::{OverloadConfig, OverloadDetector, ShedPlan};
 use espice_cep::QueueSample;
 use espice_events::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -60,7 +59,7 @@ pub enum ControlAction {
 }
 
 /// Counters describing one controller's run.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ControllerStats {
     /// Queue checks performed (after the throughput estimate existed).
     pub checks: u64,

@@ -5,7 +5,6 @@
 use crate::{Cdt, ModelConfig, NormalisationMode};
 use espice_cep::{ComplexEvent, Decision, WindowEventDecider, WindowId, WindowMeta};
 use espice_events::{Event, EventType};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -30,7 +29,7 @@ fn bin_range(config: &ModelConfig, position: usize, window_size: usize) -> Range
 /// The utility table `UT(T, P)`: for every event type and (binned) window
 /// position, the probability — scaled to an integer in `[0, 100]` — that an
 /// event of that type at that position contributes to a complex event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UtilityTable {
     bins: usize,
     /// `utilities[type][bin]` in `[0, 100]`.
@@ -135,7 +134,7 @@ impl UtilityTable {
 /// window in (binned) position `P`, estimated from the observed window
 /// compositions. With bin size 1 and a fixed window size the shares of one
 /// position sum to 1 across types; with larger bins they sum to the bin size.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PositionShares {
     bins: usize,
     /// `shares[type][bin]`.
@@ -185,7 +184,7 @@ impl PositionShares {
 }
 
 /// A trained utility model: everything the load shedder needs at run time.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UtilityModel {
     config: ModelConfig,
     ut: UtilityTable,

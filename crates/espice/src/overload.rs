@@ -11,10 +11,9 @@
 
 use crate::UtilityModel;
 use espice_events::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Static configuration of the overload detector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverloadConfig {
     /// The latency bound `LB` the operator must not violate.
     pub latency_bound: SimDuration,
@@ -71,7 +70,7 @@ impl OverloadConfig {
 
 /// A shedding directive computed by the planner: how many events to drop from
 /// each partition of every window, and how the windows are partitioned.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShedPlan {
     /// Whether shedding is active at all.
     pub active: bool,
@@ -102,7 +101,7 @@ impl ShedPlan {
 
 /// Pure computation of shedding plans from rates and window geometry. Split
 /// from [`OverloadDetector`] so experiments can compute plans directly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShedPlanner {
     config: OverloadConfig,
     /// Operator throughput `th` in events per second.

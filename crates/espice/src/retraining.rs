@@ -20,11 +20,10 @@
 use crate::{EspiceShedder, ModelBuilder, UtilityModel};
 use espice_cep::ComplexEvent;
 use espice_events::EventType;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// When the model should be rebuilt.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RetrainPolicy {
     /// Never retrain (static model).
     Never,
@@ -70,7 +69,7 @@ impl RetrainPolicy {
 
 /// Per-type event distribution over a set of windows, used for drift
 /// detection.
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct TypeDistribution {
     counts: HashMap<u32, f64>,
     total: f64,

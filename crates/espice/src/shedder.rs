@@ -12,10 +12,9 @@ use espice_cep::{
     BatchRequest, Decision, DropSet, QueryId, WindowEventDecider, WindowId, WindowMeta,
 };
 use espice_events::Event;
-use serde::{Deserialize, Serialize};
 
 /// Counters describing the shedder's activity.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ShedderStats {
     /// Shedding decisions taken.
     pub decisions: u64,

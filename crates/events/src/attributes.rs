@@ -6,7 +6,6 @@
 //! the CEP pattern predicates (e.g. "change is positive", "distance below
 //! threshold") and the dataset generators do.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single attribute value.
@@ -23,7 +22,7 @@ use std::fmt;
 /// assert_eq!(price.as_f64(), Some(182.5));
 /// assert_eq!(price.as_str(), None);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AttributeValue {
     /// A 64-bit signed integer.
     Int(i64),
@@ -127,7 +126,7 @@ impl From<String> for AttributeValue {
 /// assert_eq!(attrs.get_f64("change"), Some(0.75));
 /// assert_eq!(attrs.len(), 2);
 /// ```
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct Attributes {
     entries: Vec<(String, AttributeValue)>,
 }

@@ -1,7 +1,6 @@
 //! The primitive event.
 
 use crate::{AttributeValue, Attributes, EventType, Timestamp};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
@@ -37,7 +36,7 @@ pub type SequenceNumber = u64;
 /// assert_eq!(event.seq(), 42);
 /// assert!(event.attrs().get_f64("change").unwrap() < 0.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Event {
     seq: SequenceNumber,
     timestamp: Timestamp,

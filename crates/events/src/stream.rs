@@ -8,7 +8,6 @@
 //! [`StreamStats`] summaries used by the dataset generators and tests.
 
 use crate::{Event, SimDuration, Timestamp};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A source of primitive events in global order.
@@ -60,7 +59,7 @@ pub trait EventStream {
 /// let stream = VecStream::from_unordered(events);
 /// assert_eq!(stream.events()[0].seq(), 1);
 /// ```
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct VecStream {
     events: Vec<Event>,
 }
@@ -265,7 +264,7 @@ impl ExactSizeIterator for RateReplay<'_> {}
 ///
 /// Used by the dataset generators to sanity check generated data and by the
 /// experiment driver to report workload characteristics.
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct StreamStats {
     /// Total number of events.
     pub count: usize,

@@ -6,7 +6,6 @@
 //! experiments (the paper uses a 1 second latency bound and millisecond-scale
 //! measurements) while staying cheap to manipulate.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
@@ -25,10 +24,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// let t = Timestamp::from_secs(2) + SimDuration::from_millis(500);
 /// assert_eq!(t.as_micros(), 2_500_000);
 /// ```
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Timestamp(u64);
 
 impl Timestamp {
@@ -133,10 +129,7 @@ impl Sub<Timestamp> for Timestamp {
 /// let slice = SimDuration::from_secs(1) / 4;
 /// assert_eq!(slice.as_millis(), 250);
 /// ```
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimDuration(u64);
 
 impl SimDuration {

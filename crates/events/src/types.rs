@@ -6,7 +6,6 @@
 //! (e.g. the stock symbol `"IBM"` or the player event `"DF_7"`) is stored once
 //! in a [`TypeRegistry`] and events carry only a compact [`EventType`] id.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -27,10 +26,7 @@ use std::fmt;
 /// assert_eq!(registry.intern("A"), a);
 /// assert_eq!(a.index(), 0);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct EventType(u32);
 
 impl EventType {
@@ -82,7 +78,7 @@ impl From<u32> for EventType {
 /// assert_eq!(registry.lookup("IBM"), Some(ibm));
 /// assert_eq!(registry.len(), 1);
 /// ```
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct TypeRegistry {
     names: Vec<String>,
     by_name: HashMap<String, EventType>,

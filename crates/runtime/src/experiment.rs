@@ -26,7 +26,6 @@ use espice_cep::{
     ComplexEvent, Operator, Query, QuerySet, ResilienceOptions, ShardStatus, ShardedEngine,
 };
 use espice_events::{EventStream, SliceSource, VecStream};
-use serde::{Deserialize, Serialize};
 
 /// Which execution backend evaluates the shedded run.
 ///
@@ -39,7 +38,7 @@ use serde::{Deserialize, Serialize};
 /// threads update it, so individual drop decisions can vary with thread
 /// timing (on either backend) — the price of shard-count-invariant
 /// predictions; single-shard evaluations remain fully deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineBackend {
     /// Slice-driven: the engine consumes the materialised evaluation
     /// stream directly.
@@ -54,7 +53,7 @@ pub enum EngineBackend {
 }
 
 /// Aggregate queue behaviour of a streaming evaluation run.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct QueueSummary {
     /// Configured per-shard queue capacity.
     pub capacity: usize,
@@ -65,7 +64,7 @@ pub struct QueueSummary {
 }
 
 /// Which load-shedding strategy to evaluate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ShedderKind {
     /// eSPICE (utility-table based, this paper's contribution).
     Espice,
@@ -106,7 +105,7 @@ impl ShedderKind {
 }
 
 /// Parameters of a quality experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentConfig {
     /// Operator throughput `th` in events per second (the resource limit).
     pub throughput: f64,
@@ -170,7 +169,7 @@ impl ExperimentConfig {
 }
 
 /// Result of evaluating one shedder on one query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QualityOutcome {
     /// Which shedder was evaluated.
     pub shedder: ShedderKind,

@@ -38,9 +38,9 @@ pub use experiment::{
 pub use metrics::{LatencyTrace, QualityMetrics};
 pub use simulation::{LatencySimConfig, LatencySimulation, MultiSimulationOutcome};
 pub use streaming::{
-    run_closed_loop, run_closed_loop_live, run_closed_loop_resilient, run_closed_loop_set,
-    ChurnAction, ClosedLoopShedder, LiveStreamingOutcome, MultiStreamingOutcome, QueryChurn,
-    ResilientStreamingOutcome, ShardControlReport, StreamingOutcome, StreamingRunConfig,
+    run_closed_loop, run_closed_loop_live, run_closed_loop_set, ChurnAction, ClosedLoopShedder,
+    LiveStreamingOutcome, MultiStreamingOutcome, QueryChurn, ShardControlReport, StreamingOutcome,
+    StreamingRunConfig,
 };
 
 /// Convenience re-exports for downstream crates.

@@ -6,7 +6,6 @@
 
 use espice_cep::ComplexEvent;
 use espice_events::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// False-positive / false-negative counts of a shedded run against the
@@ -29,7 +28,7 @@ use std::collections::HashSet;
 /// assert_eq!(m.false_positives, 1);
 /// assert_eq!(m.false_negative_pct(), 50.0);
 /// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct QualityMetrics {
     /// Complex events detected by the unshedded (ground truth) run.
     pub ground_truth: usize,
@@ -98,7 +97,7 @@ fn percentage(part: usize, whole: usize) -> f64 {
 }
 
 /// Per-event latency trace of a queueing simulation run (Figure 7).
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct LatencyTrace {
     /// `(simulated time in seconds, event latency in seconds)` samples,
     /// sampled once per [`sample_interval`](Self::sample_interval).

@@ -26,12 +26,11 @@ use crate::streaming::{ChurnAction, QueryChurn};
 use espice::{ControlAction, QueueOverloadController};
 use espice_cep::{ComplexEvent, Operator, OperatorStats, Query, QueryId, QuerySet};
 use espice_events::{RateReplay, SimDuration, Timestamp, VecStream};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Parameters of the queueing simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencySimConfig {
     /// Operator throughput `th` in events per second.
     pub throughput: f64,

@@ -18,9 +18,9 @@ use espice::{
     ShedPlanner,
 };
 use espice_cep::{
-    BatchRequest, BoxedDecider, ComplexEvent, Decision, DropSet, EngineError, EngineStats,
-    LifecycleReport, OwnershipPolicy, Query, QueryId, QuerySet, QueueSample, QueueStats,
-    ResilienceOptions, ShardStatus, ShardedEngine, SharedDecider, WindowEventDecider, WindowMeta,
+    BatchRequest, BoxedDecider, ComplexEvent, Decision, DropSet, EngineStats, LifecycleReport,
+    OwnershipPolicy, Query, QueryId, QuerySet, QueueSample, QueueStats, ShardedEngine,
+    SharedDecider, WindowEventDecider, WindowMeta,
 };
 use espice_events::{Event, EventSource};
 use std::sync::Arc;
@@ -134,8 +134,8 @@ pub struct StreamingRunConfig {
     /// [`sized`](Self::sized) to derive this from the overload parameters
     /// instead of hand-picking it.
     pub queue_capacity: usize,
-    /// Events batched per shared chunk on the ingestion hand-off; 1
-    /// selects the per-event broadcast. Output is invariant in this knob.
+    /// Events batched per shared chunk on the ingestion hand-off; 1 ships
+    /// single-event chunks. Output is invariant in this knob.
     pub chunk_capacity: usize,
     /// Overload parameters (latency bound, `f`, check interval). The check
     /// interval doubles as the engine's queue-sampling cadence.
@@ -336,6 +336,39 @@ impl LiveStreamingOutcome {
     }
 }
 
+/// A fresh engine for `queries` set up from `config`: queue and chunk
+/// capacities, the overload check interval as the queue-sampling cadence,
+/// the window-size hint and the ownership policy.
+///
+/// # Panics
+///
+/// Panics if the configuration is invalid.
+fn configured_engine(queries: &QuerySet, config: &StreamingRunConfig) -> ShardedEngine {
+    assert!(config.shards >= 1, "need at least one shard");
+    config.overload.validate();
+    let mut engine = ShardedEngine::for_queries(queries.clone(), config.shards);
+    engine.set_queue_capacity(config.queue_capacity);
+    engine.set_chunk_capacity(config.chunk_capacity);
+    let interval = Duration::from_secs_f64(config.overload.check_interval.as_secs_f64());
+    engine.set_check_interval(Some(interval));
+    if let Some(hint) = config.window_size_hint {
+        engine.set_window_size_hint(hint);
+    }
+    if config.work_stealing {
+        engine.set_ownership_policy(OwnershipPolicy::StealAtOpen);
+    }
+    engine
+}
+
+/// The control outcome one closed-loop controller reports.
+fn control_report(controller: &QueueOverloadController) -> ShardControlReport {
+    ShardControlReport {
+        stats: *controller.stats(),
+        activations: controller.activations(),
+        measured_throughput: controller.throughput(),
+    }
+}
+
 /// Streams `source` through a fresh engine with one closed-loop shedder
 /// per shard and returns the merged output plus the measured queue and
 /// control reports. `shedders` supplies the per-shard shedder instances
@@ -398,21 +431,8 @@ where
     Src: EventSource + ?Sized,
     S: AdaptiveShedder + Send,
 {
-    assert!(config.shards >= 1, "need at least one shard");
     assert_eq!(shedders.len(), config.shards, "need exactly one shedder row per shard");
-    config.overload.validate();
-
-    let mut engine = ShardedEngine::for_queries(queries.clone(), config.shards);
-    engine.set_queue_capacity(config.queue_capacity);
-    engine.set_chunk_capacity(config.chunk_capacity);
-    let interval = Duration::from_secs_f64(config.overload.check_interval.as_secs_f64());
-    engine.set_check_interval(Some(interval));
-    if let Some(hint) = config.window_size_hint {
-        engine.set_window_size_hint(hint);
-    }
-    if config.work_stealing {
-        engine.set_ownership_policy(OwnershipPolicy::StealAtOpen);
-    }
+    let mut engine = configured_engine(queries, config);
 
     // Flatten shard-major, wiring one shared throughput signal per shard.
     let mut deciders: Vec<ClosedLoopShedder<S>> = Vec::with_capacity(config.shards * queries.len());
@@ -435,130 +455,9 @@ where
         queues: engine.queue_stats().to_vec(),
         control: deciders
             .chunks(queries.len())
-            .map(|row| {
-                row.iter()
-                    .map(|decider| ShardControlReport {
-                        stats: *decider.controller().stats(),
-                        activations: decider.controller().activations(),
-                        measured_throughput: decider.controller().throughput(),
-                    })
-                    .collect()
-            })
+            .map(|row| row.iter().map(|decider| control_report(decider.controller())).collect())
             .collect(),
     }
-}
-
-/// What a fault-tolerant closed-loop run reports: the usual merged outputs
-/// and measurements of [`MultiStreamingOutcome`], plus the per-shard
-/// fault/recovery record of the engine's resilient path.
-#[derive(Debug)]
-pub struct ResilientStreamingOutcome {
-    /// Each query's detected complex events (merged across shards).
-    pub complex_events: Vec<Vec<ComplexEvent>>,
-    /// Final engine statistics (failed shards report fresh counters).
-    pub stats: EngineStats,
-    /// Per-shard queue statistics, accumulated across shard incarnations.
-    pub queues: Vec<QueueStats>,
-    /// Per-shard, per-query control reports — `None` for a shard that
-    /// failed permanently (its deciders died with the final incarnation).
-    pub control: Vec<Option<Vec<ShardControlReport>>>,
-    /// Per-shard outcome: healthy, recovered by chunk replay, or failed.
-    pub shard_status: Vec<ShardStatus>,
-    /// Total shard restarts across the run.
-    pub recoveries: u32,
-}
-
-impl ResilientStreamingOutcome {
-    /// Whether any shard failed permanently (degraded output).
-    pub fn is_degraded(&self) -> bool {
-        self.shard_status.iter().any(|status| matches!(status, ShardStatus::Failed(_)))
-    }
-}
-
-/// The fault-tolerant variant of [`run_closed_loop_set`]: same fused
-/// multi-query pipeline and closed-loop overload control, but a shard
-/// panic is recovered by chunk replay, a wedged shard yields
-/// [`EngineError::Stalled`] instead of hanging the producer, and a shard
-/// past its restart budget degrades the run instead of aborting it (see
-/// [`ShardedEngine::run_source_resilient`]).
-///
-/// The shedders move into the engine's drain threads by value and come
-/// back through the run report, so `S` must be `Clone + Send + 'static`
-/// (a replacement shard revives its shedders from clones).
-///
-/// # Errors
-///
-/// [`EngineError::Stalled`] when a shard exceeds the progress deadline;
-/// decider-layout and configuration errors as on the non-resilient path.
-///
-/// # Panics
-///
-/// Panics if the shedder matrix is not `shards × queries`, or the overload
-/// configuration is invalid.
-pub fn run_closed_loop_resilient<Src, S>(
-    queries: &QuerySet,
-    source: &mut Src,
-    shedders: Vec<Vec<S>>,
-    config: &StreamingRunConfig,
-    options: &ResilienceOptions,
-) -> Result<ResilientStreamingOutcome, EngineError>
-where
-    Src: EventSource + ?Sized,
-    S: AdaptiveShedder + Clone + Send + 'static,
-{
-    assert!(config.shards >= 1, "need at least one shard");
-    assert_eq!(shedders.len(), config.shards, "need exactly one shedder row per shard");
-    config.overload.validate();
-
-    let mut engine = ShardedEngine::for_queries(queries.clone(), config.shards);
-    engine.set_queue_capacity(config.queue_capacity);
-    engine.set_chunk_capacity(config.chunk_capacity);
-    let interval = Duration::from_secs_f64(config.overload.check_interval.as_secs_f64());
-    engine.set_check_interval(Some(interval));
-    if let Some(hint) = config.window_size_hint {
-        engine.set_window_size_hint(hint);
-    }
-    if config.work_stealing {
-        engine.set_ownership_policy(OwnershipPolicy::StealAtOpen);
-    }
-
-    let mut deciders: Vec<ClosedLoopShedder<S>> = Vec::with_capacity(config.shards * queries.len());
-    for row in shedders {
-        assert_eq!(row.len(), queries.len(), "need exactly one shedder per query per shard");
-        let shared = Arc::new(SharedThroughput::new());
-        for shedder in row {
-            deciders.push(ClosedLoopShedder::with_shared_throughput(
-                shedder,
-                config.overload,
-                Arc::clone(&shared),
-            ));
-        }
-    }
-    let report = engine.run_source_resilient(source, deciders, options)?;
-
-    let control = report
-        .deciders
-        .iter()
-        .map(|row| {
-            row.as_ref().map(|row| {
-                row.iter()
-                    .map(|decider| ShardControlReport {
-                        stats: *decider.controller().stats(),
-                        activations: decider.controller().activations(),
-                        measured_throughput: decider.controller().throughput(),
-                    })
-                    .collect()
-            })
-        })
-        .collect();
-    Ok(ResilientStreamingOutcome {
-        complex_events: report.complex_events,
-        stats: engine.stats(),
-        queues: engine.queue_stats().to_vec(),
-        control,
-        shard_status: report.shard_status,
-        recoveries: report.recoveries,
-    })
 }
 
 /// The *live* closed-loop run: streams `source` through a fused engine
@@ -595,20 +494,7 @@ where
     S: AdaptiveShedder + Send + 'static,
     F: FnMut(QueryId, usize, &Query) -> S,
 {
-    assert!(config.shards >= 1, "need at least one shard");
-    config.overload.validate();
-
-    let mut engine = ShardedEngine::for_queries(initial.clone(), config.shards);
-    engine.set_queue_capacity(config.queue_capacity);
-    engine.set_chunk_capacity(config.chunk_capacity);
-    let interval = Duration::from_secs_f64(config.overload.check_interval.as_secs_f64());
-    engine.set_check_interval(Some(interval));
-    if let Some(hint) = config.window_size_hint {
-        engine.set_window_size_hint(hint);
-    }
-    if config.work_stealing {
-        engine.set_ownership_policy(OwnershipPolicy::StealAtOpen);
-    }
+    let mut engine = configured_engine(initial, config);
 
     // One shared capacity signal per shard queue, reused by every
     // admission on that shard.
@@ -693,17 +579,7 @@ where
     let control_reports: Vec<Vec<ShardControlReport>> = observers
         .iter()
         .map(|row| {
-            row.iter()
-                .map(|observer| {
-                    let decider = observer.lock();
-                    let controller = decider.controller();
-                    ShardControlReport {
-                        stats: *controller.stats(),
-                        activations: controller.activations(),
-                        measured_throughput: controller.throughput(),
-                    }
-                })
-                .collect()
+            row.iter().map(|observer| control_report(observer.lock().controller())).collect()
         })
         .collect();
 
