@@ -29,8 +29,10 @@
 //! **once** to a shared ring and every open window only records its start
 //! slot plus a per-window drop set, so per-event storage work is O(1) in the
 //! overlap factor (see the [`Operator`] docs for the layout and its pruning
-//! invariant). At close time the matcher runs over references into the
-//! shared slice ([`Matcher::matches_refs`] with [`EntryRef`]).
+//! invariant). Each event is also classified against the pattern steps once
+//! per query as it is appended, so closing a window walks per-step
+//! occurrences instead of rescanning the window; [`Matcher`] keeps the
+//! per-window scan as the independent oracle.
 //!
 //! Beyond the paper's single-threaded prototype, the crate provides a
 //! [`ShardedEngine`] that hash-partitions the window population by global
@@ -106,7 +108,7 @@ pub use engine::{
 };
 pub use faults::{FaultKind, FaultPlan};
 pub use lifecycle::{EngineControl, LifecycleReport, LiveRunOutcome};
-pub use matcher::{EntryRef, MatchOutcome, Matcher, WindowEntry};
+pub use matcher::{MatchOutcome, Matcher, WindowEntry};
 pub use operator::{Operator, OperatorStats};
 pub use pattern::{Pattern, PatternStep};
 pub use predicate::{CmpOp, Predicate};

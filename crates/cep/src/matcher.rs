@@ -5,10 +5,25 @@
 //! constituents are skipped), the **first**/**last** selection policies, the
 //! **consumed**/**zero** consumption policies and an upper bound on the number
 //! of complex events per window.
+//!
+//! Two implementations share these semantics:
+//!
+//! * [`IndexedMatcher`] is the operator's. It classifies every event against
+//!   the pattern steps **once per (event, query)**, when the operator appends
+//!   it to its shared [`EventRing`], and records the slot in the occurrence
+//!   list of every step class that admits it. Closing a window then walks
+//!   the per-step occurrences inside the window's slot range — a successor
+//!   (or, for *last* selection, predecessor) search per step — instead of
+//!   re-examining every entry of every closing window.
+//! * [`Matcher`] scans a window's [`WindowEntry`] list entry by entry. It is
+//!   the independent oracle the seed per-window engine
+//!   ([`ReferenceOperator`](crate::reference::ReferenceOperator)) and the
+//!   property tests pin the index against.
 
+use crate::ring::{DropSet, EventRing, SlotIndex};
 use crate::{
-    ComplexEvent, Constituent, ConsumptionPolicy, Pattern, PatternStep, Query, SelectionPolicy,
-    SkipPolicy, WindowId,
+    ComplexEvent, Constituent, ConsumptionPolicy, Pattern, PatternStep, Predicate, Query,
+    SelectionPolicy, SkipPolicy, WindowId,
 };
 use espice_events::{Event, EventType, Timestamp};
 
@@ -23,22 +38,6 @@ pub struct WindowEntry {
     pub position: usize,
     /// The event itself.
     pub event: Event,
-}
-
-/// A borrowed view of a window entry: an arrival position plus a reference
-/// into shared event storage.
-///
-/// The operator stores each event once in a shared ring (see the `ring`
-/// module) instead of cloning it into every overlapping window, so at
-/// window-close time the matcher runs over *references* into that ring. This
-/// is the zero-copy counterpart of [`WindowEntry`]; the owning form remains
-/// for callers that assemble windows by hand (tests, tools).
-#[derive(Debug, Clone, Copy)]
-pub struct EntryRef<'a> {
-    /// Arrival position within the window (0-based, dropped events counted).
-    pub position: usize,
-    /// The event, borrowed from shared storage.
-    pub event: &'a Event,
 }
 
 /// Result of running the matcher over one window.
@@ -82,72 +81,21 @@ pub struct Matcher {
     max_matches: usize,
 }
 
-/// Internal accessor abstraction: lets the match core index identically
-/// into owned [`WindowEntry`] slices, zero-copy [`EntryRef`] slices and the
-/// (possibly discontiguous) ring-slice pair of an undropped window, without
-/// materialising an intermediate entry vector on any path.
-trait EntryList {
-    fn len(&self) -> usize;
-    fn entry(&self, index: usize) -> EntryRef<'_>;
-}
-
-impl EntryList for [WindowEntry] {
-    fn len(&self) -> usize {
-        self.len()
-    }
-    fn entry(&self, index: usize) -> EntryRef<'_> {
-        let entry = &self[index];
-        EntryRef { position: entry.position, event: &entry.event }
-    }
-}
-
-impl EntryList for [EntryRef<'_>] {
-    fn len(&self) -> usize {
-        self.len()
-    }
-    fn entry(&self, index: usize) -> EntryRef<'_> {
-        self[index]
-    }
-}
-
-/// The two contiguous pieces a window's events occupy inside the shared
-/// event ring (a `VecDeque` hands out at most two slices). Valid only for
-/// windows with an empty drop set: every ring slot in the range belongs to
-/// the window, so the arrival position is simply the concatenated index.
-struct RingSlices<'a> {
-    head: &'a [Event],
-    tail: &'a [Event],
-}
-
-impl EntryList for RingSlices<'_> {
-    fn len(&self) -> usize {
-        self.head.len() + self.tail.len()
-    }
-    fn entry(&self, index: usize) -> EntryRef<'_> {
-        let event = if index < self.head.len() {
-            &self.head[index]
-        } else {
-            &self.tail[index - self.head.len()]
-        };
-        EntryRef { position: index, event }
-    }
-}
-
-/// An [`EntryList`] read in window order or reversed (the "last" selection
-/// policy matches the reversed pattern over the reversed window).
-struct Ordered<'a, L: ?Sized> {
-    list: &'a L,
+/// A window's entries read in window order or reversed (the "last"
+/// selection policy matches the reversed pattern over the reversed window).
+struct Ordered<'a> {
+    entries: &'a [WindowEntry],
     reversed: bool,
 }
 
-impl<L: EntryList + ?Sized> Ordered<'_, L> {
+impl Ordered<'_> {
     fn len(&self) -> usize {
-        self.list.len()
+        self.entries.len()
     }
 
-    fn entry(&self, index: usize) -> EntryRef<'_> {
-        let index = if self.reversed { self.list.len() - 1 - index } else { index };
-        self.list.entry(index)
+    fn entry(&self, index: usize) -> &WindowEntry {
+        let index = if self.reversed { self.entries.len() - 1 - index } else { index };
+        &self.entries[index]
     }
 }
 
@@ -169,40 +117,8 @@ impl Matcher {
     }
 
     /// Runs the matcher over the (kept) entries of window `window_id`.
-    ///
-    /// Entries must be in arrival order. Same cost and behaviour as
-    /// [`matches_refs`](Self::matches_refs); both delegate to one generic
-    /// core, so neither form pays a conversion copy.
+    /// Entries must be in arrival order.
     pub fn matches(&self, window_id: WindowId, entries: &[WindowEntry]) -> MatchOutcome {
-        self.matches_impl(window_id, entries)
-    }
-
-    /// Runs the matcher over the (kept) entries of window `window_id`,
-    /// borrowed from shared storage. Entries must be in arrival order.
-    pub fn matches_refs(&self, window_id: WindowId, entries: &[EntryRef<'_>]) -> MatchOutcome {
-        self.matches_impl(window_id, entries)
-    }
-
-    /// Zero-copy fast path for a window that dropped nothing: runs the
-    /// matcher directly over the (at most two) contiguous slices the
-    /// window's events occupy in the shared event ring. The arrival
-    /// position of the `i`-th event across the concatenation is `i`, so no
-    /// per-close `EntryRef` vector needs to be materialised.
-    pub fn matches_ring(
-        &self,
-        window_id: WindowId,
-        head: &[Event],
-        tail: &[Event],
-    ) -> MatchOutcome {
-        self.matches_impl(window_id, &RingSlices { head, tail })
-    }
-
-    /// The match core, generic over the entry representation.
-    fn matches_impl<L: EntryList + ?Sized>(
-        &self,
-        window_id: WindowId,
-        entries: &L,
-    ) -> MatchOutcome {
         if entries.len() < self.pattern.total_events() {
             return MatchOutcome::default();
         }
@@ -217,7 +133,7 @@ impl Matcher {
         } else {
             self.pattern.steps().iter().collect()
         };
-        let ordered = Ordered { list: entries, reversed };
+        let ordered = Ordered { entries, reversed };
 
         let mut used = vec![false; ordered.len()];
         let mut min_start = 0usize;
@@ -278,8 +194,8 @@ impl Matcher {
 /// Greedy subsequence matching with skip-till-next/any-match semantics: each
 /// step takes the earliest admissible, unused events after the previously
 /// taken one.
-fn greedy_match<L: EntryList + ?Sized>(
-    entries: &Ordered<'_, L>,
+fn greedy_match(
+    entries: &Ordered<'_>,
     steps: &[&PatternStep],
     used: &[bool],
     min_start: usize,
@@ -293,12 +209,11 @@ fn greedy_match<L: EntryList + ?Sized>(
             if idx >= entries.len() {
                 return None;
             }
-            let entry = entries.entry(idx);
-            let type_ok =
-                !step.distinct_types() || !matched_types.contains(&entry.event.event_type());
-            if !used[idx] && type_ok && step.admits(entry.event) {
+            let event = &entries.entry(idx).event;
+            let type_ok = !step.distinct_types() || !matched_types.contains(&event.event_type());
+            if !used[idx] && type_ok && step.admits(event) {
                 taken.push(idx);
-                matched_types.push(entry.event.event_type());
+                matched_types.push(event.event_type());
                 need -= 1;
             }
             idx += 1;
@@ -309,8 +224,8 @@ fn greedy_match<L: EntryList + ?Sized>(
 
 /// Contiguous matching: the constituents must be adjacent entries. Tries every
 /// anchor from `min_start` and returns the first full match.
-fn contiguous_match<L: EntryList + ?Sized>(
-    entries: &Ordered<'_, L>,
+fn contiguous_match(
+    entries: &Ordered<'_>,
     steps: &[&PatternStep],
     used: &[bool],
     min_start: usize,
@@ -325,20 +240,368 @@ fn contiguous_match<L: EntryList + ?Sized>(
         for step in steps {
             let mut matched_types: Vec<EventType> = Vec::with_capacity(step.count());
             for _ in 0..step.count() {
-                let entry = entries.entry(idx);
+                let event = &entries.entry(idx).event;
                 let type_ok =
-                    !step.distinct_types() || !matched_types.contains(&entry.event.event_type());
-                if used[idx] || !type_ok || !step.admits(entry.event) {
+                    !step.distinct_types() || !matched_types.contains(&event.event_type());
+                if used[idx] || !type_ok || !step.admits(event) {
                     continue 'anchor;
                 }
                 taken.push(idx);
-                matched_types.push(entry.event.event_type());
+                matched_types.push(event.event_type());
                 idx += 1;
             }
         }
         return Some(taken);
     }
     None
+}
+
+/// A pattern step as the index walks it.
+#[derive(Debug, Clone, Copy)]
+struct IndexedStep {
+    /// The step's class: steps admitting exactly the same events (equal
+    /// type lists and predicates, e.g. the repeated steps of Q4's
+    /// `seq(A; B; A; B)`) share one class and one occurrence list.
+    class: usize,
+    count: usize,
+    distinct_types: bool,
+}
+
+/// The step classes one event type can enter, grouped by the predicate
+/// that gates them: when `predicate` holds (`None` is `Predicate::True`),
+/// the event joins every class in `classes`.
+#[derive(Debug, Clone)]
+struct PredicateGroup {
+    /// Index into [`IndexedMatcher::predicates`].
+    predicate: Option<usize>,
+    classes: Vec<usize>,
+}
+
+/// The operator's matcher: [`Matcher`]'s semantics over a per-step
+/// occurrence index instead of a per-window scan (see the module docs).
+///
+/// It is compiled from a [`Query`] into a table from event-type index to
+/// the step classes whose type set contains that type, so classifying an
+/// event costs one table lookup when no step references its type and
+/// otherwise evaluates each distinct step predicate at most once.
+#[derive(Debug, Clone)]
+pub(crate) struct IndexedMatcher {
+    /// Per event-type index, the predicate groups of the classes admitting
+    /// that type (empty for unreferenced types; types past the end are
+    /// unreferenced too).
+    by_type: Vec<Vec<PredicateGroup>>,
+    /// The pattern's distinct step predicates other than `Predicate::True`.
+    predicates: Vec<Predicate>,
+    /// Number of step classes (occurrence lists the ring keeps).
+    classes: usize,
+    steps: Vec<IndexedStep>,
+    total_events: usize,
+    selection: SelectionPolicy,
+    consumption: ConsumptionPolicy,
+    skip: SkipPolicy,
+    max_matches: usize,
+}
+
+/// A closing window as the index sees it: the ring slots `[start, end)`
+/// minus the positions (slot offsets from `start`) in `dropped`.
+struct IndexedWindow<'a> {
+    ring: &'a EventRing,
+    start: SlotIndex,
+    end: SlotIndex,
+    dropped: &'a DropSet,
+}
+
+impl IndexedWindow<'_> {
+    /// Whether the window kept the event at `slot`.
+    fn kept(&self, slot: SlotIndex) -> bool {
+        self.dropped.is_empty() || !self.dropped.contains((slot - self.start) as usize)
+    }
+
+    /// The window's nearest kept slot after `slot` (before it when
+    /// `reversed`), if any.
+    fn next_kept(&self, mut slot: SlotIndex, reversed: bool) -> Option<SlotIndex> {
+        loop {
+            if reversed {
+                if slot == self.start {
+                    return None;
+                }
+                slot -= 1;
+            } else {
+                slot += 1;
+                if slot >= self.end {
+                    return None;
+                }
+            }
+            if self.kept(slot) {
+                return Some(slot);
+            }
+        }
+    }
+
+    /// The occurrences of step class `class` in `[lo, hi)`, ascending.
+    fn occurrences(
+        &self,
+        class: usize,
+        lo: SlotIndex,
+        hi: SlotIndex,
+    ) -> impl DoubleEndedIterator<Item = SlotIndex> + '_ {
+        let occurrences = self.ring.occurrences(class);
+        let first = occurrences.partition_point(|&slot| slot < lo);
+        let end = occurrences.partition_point(|&slot| slot < hi);
+        occurrences.range(first..end).copied()
+    }
+}
+
+impl IndexedMatcher {
+    /// Compiles the classifier and match policies of `query`.
+    pub(crate) fn from_query(query: &Query) -> Self {
+        let mut representatives: Vec<&PatternStep> = Vec::new();
+        let steps = query
+            .pattern()
+            .steps()
+            .iter()
+            .map(|step| {
+                let class = representatives
+                    .iter()
+                    .position(|rep| {
+                        rep.types() == step.types() && rep.predicate() == step.predicate()
+                    })
+                    .unwrap_or_else(|| {
+                        representatives.push(step);
+                        representatives.len() - 1
+                    });
+                IndexedStep { class, count: step.count(), distinct_types: step.distinct_types() }
+            })
+            .collect();
+
+        let mut predicates: Vec<Predicate> = Vec::new();
+        let mut by_type: Vec<Vec<PredicateGroup>> = Vec::new();
+        for (class, rep) in representatives.iter().enumerate() {
+            let predicate = (*rep.predicate() != Predicate::True).then(|| {
+                predicates.iter().position(|p| p == rep.predicate()).unwrap_or_else(|| {
+                    predicates.push(rep.predicate().clone());
+                    predicates.len() - 1
+                })
+            });
+            for ty in rep.types() {
+                if by_type.len() <= ty.index() {
+                    by_type.resize(ty.index() + 1, Vec::new());
+                }
+                let groups = &mut by_type[ty.index()];
+                match groups.iter_mut().find(|group| group.predicate == predicate) {
+                    // A type listed twice in one step still joins its class once.
+                    Some(group) if group.classes.contains(&class) => {}
+                    Some(group) => group.classes.push(class),
+                    None => groups.push(PredicateGroup { predicate, classes: vec![class] }),
+                }
+            }
+        }
+
+        IndexedMatcher {
+            by_type,
+            predicates,
+            classes: representatives.len(),
+            steps,
+            total_events: query.pattern().total_events(),
+            selection: query.selection(),
+            consumption: query.consumption(),
+            skip: query.skip(),
+            max_matches: query.max_matches_per_window(),
+        }
+    }
+
+    /// Number of step classes, i.e. occurrence lists the ring must keep.
+    pub(crate) fn classes(&self) -> usize {
+        self.classes
+    }
+
+    /// Records `slot` — where `event` was just appended to `ring` — in the
+    /// occurrence list of every step class that admits the event.
+    pub(crate) fn classify(&self, event: &Event, slot: SlotIndex, ring: &mut EventRing) {
+        let Some(groups) = self.by_type.get(event.event_type().index()) else {
+            return;
+        };
+        for group in groups {
+            if group.predicate.is_none_or(|p| self.predicates[p].eval(event)) {
+                for &class in &group.classes {
+                    ring.record(class, slot);
+                }
+            }
+        }
+    }
+
+    /// Matches window `window_id`: the `assigned` ring slots from `start`,
+    /// minus the positions in `dropped`. Emits exactly the complex events
+    /// [`Matcher::matches`] emits over the window's kept entries.
+    pub(crate) fn matches(
+        &self,
+        window_id: WindowId,
+        ring: &EventRing,
+        start: SlotIndex,
+        assigned: usize,
+        dropped: &DropSet,
+    ) -> Vec<ComplexEvent> {
+        if assigned.saturating_sub(dropped.len()) < self.total_events {
+            return Vec::new();
+        }
+        let window = IndexedWindow { ring, start, end: start + assigned as SlotIndex, dropped };
+        let reversed = self.selection == SelectionPolicy::Last;
+
+        // Every match is searched inside `[lo, hi)`. Zero consumption moves
+        // the bound past the previous match's first-taken constituent (its
+        // earliest, or under last selection its latest); consumed
+        // consumption keeps the bounds and skips the slots earlier matches
+        // took instead.
+        let (mut lo, mut hi) = (window.start, window.end);
+        let mut consumed: Vec<SlotIndex> = Vec::new();
+        let mut matches: Vec<Vec<SlotIndex>> = Vec::new();
+        let mut taken: Vec<SlotIndex> = Vec::new();
+        while matches.len() < self.max_matches {
+            taken.clear();
+            let found = match self.skip {
+                SkipPolicy::SkipTillNextMatch => {
+                    self.greedy(&window, lo, hi, &consumed, &mut taken)
+                }
+                SkipPolicy::Contiguous => self.contiguous(&window, lo, hi, &consumed, &mut taken),
+            };
+            if !found {
+                break;
+            }
+            match self.consumption {
+                ConsumptionPolicy::Consumed => consumed.extend_from_slice(&taken),
+                ConsumptionPolicy::Zero if reversed => hi = taken[0],
+                ConsumptionPolicy::Zero => lo = taken[0] + 1,
+            }
+            if reversed {
+                // Taken latest-first over the reversed pattern.
+                taken.reverse();
+            }
+            matches.push(std::mem::take(&mut taken));
+        }
+
+        matches
+            .iter()
+            .map(|slots| {
+                let constituents = slots
+                    .iter()
+                    .map(|&slot| {
+                        let event = ring.get(slot);
+                        Constituent {
+                            seq: event.seq(),
+                            event_type: event.event_type(),
+                            position: (slot - start) as usize,
+                        }
+                    })
+                    .collect();
+                let detected_at = slots
+                    .iter()
+                    .map(|&slot| ring.get(slot).timestamp())
+                    .max()
+                    .unwrap_or(Timestamp::ZERO);
+                ComplexEvent::new(window_id, detected_at, constituents)
+            })
+            .collect()
+    }
+
+    /// The `k`-th step in matching order (the pattern reversed under last
+    /// selection).
+    fn step(&self, k: usize) -> IndexedStep {
+        match self.selection {
+            SelectionPolicy::First => self.steps[k],
+            SelectionPolicy::Last => self.steps[self.steps.len() - 1 - k],
+        }
+    }
+
+    /// Skip-till-next matching: each step takes the nearest admissible,
+    /// kept, unconsumed occurrences past the previous step's — a successor
+    /// search per step, or a predecessor search under last selection.
+    fn greedy(
+        &self,
+        window: &IndexedWindow<'_>,
+        mut lo: SlotIndex,
+        mut hi: SlotIndex,
+        consumed: &[SlotIndex],
+        taken: &mut Vec<SlotIndex>,
+    ) -> bool {
+        let reversed = self.selection == SelectionPolicy::Last;
+        let mut types: Vec<EventType> = Vec::new();
+        for k in 0..self.steps.len() {
+            let step = self.step(k);
+            let mut candidates = window.occurrences(step.class, lo, hi);
+            types.clear();
+            let mut need = step.count;
+            while need > 0 {
+                let next = if reversed { candidates.next_back() } else { candidates.next() };
+                let Some(slot) = next else { return false };
+                if !window.kept(slot) || consumed.contains(&slot) {
+                    continue;
+                }
+                if step.distinct_types {
+                    let ty = window.ring.get(slot).event_type();
+                    if types.contains(&ty) {
+                        continue;
+                    }
+                    types.push(ty);
+                }
+                taken.push(slot);
+                need -= 1;
+            }
+            let last = *taken.last().expect("every step takes at least one event");
+            if reversed {
+                hi = last;
+            } else {
+                lo = last + 1;
+            }
+        }
+        true
+    }
+
+    /// Contiguous matching: anchors on the first step's occurrences (the
+    /// last step's, latest first, under last selection) and checks that the
+    /// following kept slots belong to the next steps' occurrence lists.
+    fn contiguous(
+        &self,
+        window: &IndexedWindow<'_>,
+        lo: SlotIndex,
+        hi: SlotIndex,
+        consumed: &[SlotIndex],
+        taken: &mut Vec<SlotIndex>,
+    ) -> bool {
+        let reversed = self.selection == SelectionPolicy::Last;
+        let mut anchors = window.occurrences(self.step(0).class, lo, hi);
+        let mut types: Vec<EventType> = Vec::new();
+        'anchor: loop {
+            let next = if reversed { anchors.next_back() } else { anchors.next() };
+            let Some(anchor) = next else { return false };
+            if !window.kept(anchor) {
+                continue;
+            }
+            taken.clear();
+            let mut slot = Some(anchor);
+            for k in 0..self.steps.len() {
+                let step = self.step(k);
+                types.clear();
+                for _ in 0..step.count {
+                    let Some(current) = slot else { continue 'anchor };
+                    if consumed.contains(&current)
+                        || window.ring.occurrences(step.class).binary_search(&current).is_err()
+                    {
+                        continue 'anchor;
+                    }
+                    if step.distinct_types {
+                        let ty = window.ring.get(current).event_type();
+                        if types.contains(&ty) {
+                            continue 'anchor;
+                        }
+                        types.push(ty);
+                    }
+                    taken.push(current);
+                    slot = window.next_kept(current, reversed);
+                }
+            }
+            return true;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -516,29 +779,91 @@ mod tests {
     }
 
     #[test]
-    fn matches_ring_equals_refs_for_every_split_point() {
-        // An undropped window's ring slice pair must match exactly like the
-        // EntryRef materialisation, wherever the VecDeque wrap point falls.
-        let pattern = Pattern::sequence([ty(0), ty(1)]);
+    fn indexed_matches_equal_the_scan_for_every_policy_and_wrap_point() {
+        // seq(A; any(2, {B, C}) distinct; A) with drops, over a ring whose
+        // deque wraps at every possible point: the index must emit exactly
+        // what the scan emits over the window's kept entries.
+        let pattern = Pattern::new(vec![
+            PatternStep::single(ty(0)),
+            PatternStep::any_of([ty(1), ty(2)], 2, true),
+            PatternStep::single(ty(0)),
+        ]);
+        let types = [0u32, 1, 9, 1, 2, 0, 0, 2, 1, 0, 2, 0, 1, 0];
+        let dropped_positions = [2usize, 6, 11];
         for selection in [SelectionPolicy::First, SelectionPolicy::Last] {
-            let m = matcher(pattern.clone(), selection, ConsumptionPolicy::Consumed, 10);
-            let events: Vec<Event> = [0u32, 9, 0, 1, 9, 1]
-                .iter()
-                .enumerate()
-                .map(|(i, &t)| Event::new(ty(t), Timestamp::from_secs(i as u64), i as u64))
-                .collect();
-            let refs: Vec<EntryRef<'_>> = events
-                .iter()
-                .enumerate()
-                .map(|(position, event)| EntryRef { position, event })
-                .collect();
-            let expected = m.matches_refs(7, &refs).complex_events;
-            assert!(!expected.is_empty());
-            for split in 0..=events.len() {
-                let outcome = m.matches_ring(7, &events[..split], &events[split..]);
-                assert_eq!(outcome.complex_events, expected, "diverged at split {split}");
+            for consumption in [ConsumptionPolicy::Consumed, ConsumptionPolicy::Zero] {
+                for skip in [SkipPolicy::SkipTillNextMatch, SkipPolicy::Contiguous] {
+                    let query = Query::builder()
+                        .pattern(pattern.clone())
+                        .window(WindowSpec::count_sliding(100, 100))
+                        .selection(selection)
+                        .consumption(consumption)
+                        .skip(skip)
+                        .max_matches_per_window(3)
+                        .build();
+                    let kept: Vec<WindowEntry> = types
+                        .iter()
+                        .enumerate()
+                        .filter(|(position, _)| !dropped_positions.contains(position))
+                        .map(|(position, &t)| entry(t, position, 100 + position as u64))
+                        .collect();
+                    let expected = Matcher::from_query(&query).matches(7, &kept);
+                    let indexed = IndexedMatcher::from_query(&query);
+                    let mut dropped = DropSet::new();
+                    dropped_positions.iter().for_each(|&p| dropped.push(p));
+                    for offset in 0..types.len() {
+                        // `offset` filler events, released before the window
+                        // opens, move the deque's wrap point.
+                        let mut ring = EventRing::new(indexed.classes());
+                        for seq in 0..offset as u64 {
+                            let event = Event::new(ty(0), Timestamp::ZERO, seq);
+                            let slot = ring.push(event.clone());
+                            indexed.classify(&event, slot, &mut ring);
+                        }
+                        let start = ring.next_slot();
+                        ring.release_before(start);
+                        for entry in (0..types.len()).map(|p| entry(types[p], p, 100 + p as u64)) {
+                            let slot = ring.push(entry.event.clone());
+                            indexed.classify(&entry.event, slot, &mut ring);
+                        }
+                        let emitted = indexed.matches(7, &ring, start, types.len(), &dropped);
+                        let label = format!("{selection:?}/{consumption:?}/{skip:?} at {offset}");
+                        assert_eq!(emitted, expected.complex_events, "{label}");
+                    }
+                }
             }
         }
+    }
+
+    #[test]
+    fn classification_evaluates_each_referenced_step_class_once() {
+        // seq(A; A; any(B, C)) with one shared predicate: the repeated A
+        // steps share a class, an unreferenced type enters no list, and a
+        // falling quote enters none either.
+        let rising = Predicate::attr_cmp("change", crate::CmpOp::Gt, 0.0);
+        let pattern = Pattern::new(vec![
+            PatternStep::single(ty(0)).with_predicate(rising.clone()),
+            PatternStep::single(ty(0)).with_predicate(rising.clone()),
+            PatternStep::any_of([ty(1), ty(2), ty(1)], 1, false).with_predicate(rising),
+        ]);
+        let query =
+            Query::builder().pattern(pattern).window(WindowSpec::count_sliding(10, 10)).build();
+        let indexed = IndexedMatcher::from_query(&query);
+        assert_eq!(indexed.classes(), 2);
+        assert_eq!(indexed.predicates.len(), 1);
+        let quote = |t: u32, change: f64, seq: u64| {
+            Event::builder(ty(t), Timestamp::ZERO)
+                .seq(seq)
+                .attr("change", espice_events::AttributeValue::from(change))
+                .build()
+        };
+        let mut ring = EventRing::new(indexed.classes());
+        for event in [quote(0, 1.0, 0), quote(1, 1.0, 1), quote(9, 1.0, 2), quote(1, -1.0, 3)] {
+            let slot = ring.push(event.clone());
+            indexed.classify(&event, slot, &mut ring);
+        }
+        assert_eq!(ring.occurrences(0).iter().copied().collect::<Vec<_>>(), vec![0]);
+        assert_eq!(ring.occurrences(1).iter().copied().collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]

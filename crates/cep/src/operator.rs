@@ -15,17 +15,25 @@
 //! Since every open window is assigned every arriving event, an event's
 //! arrival position within a window is just `slot - window.start`, so the
 //! per-event storage work is O(1) in the overlap factor where it used to be
-//! O(overlap) `WindowEntry` clones. When a window closes the matcher runs
-//! over references into the shared slice, skipping the dropped slots; the
-//! ring is pruned back to the oldest still-open window's start (windows
-//! close in open order, so nothing below that can ever be referenced again).
+//! O(overlap) `WindowEntry` clones. The ring is pruned back to the oldest
+//! still-open window's start (windows close in open order, so nothing below
+//! that can ever be referenced again).
+//!
+//! # Indexed match-on-close
+//!
+//! When the operator appends an event to the ring it also classifies it
+//! against the pattern steps — once per (event, query), not once per
+//! (event, window) — and records its slot in the occurrence list of every
+//! step class that admits it. Closing a window does not rescan the window:
+//! the index walks per-step occurrences inside the window's slot range,
+//! skipping the window's drops (see `matcher::IndexedMatcher`).
 
-use crate::matcher::EntryRef;
+use crate::matcher::IndexedMatcher;
 use crate::ring::{DropSet, EventRing, SlotIndex};
 use crate::window::{OpenTracker, SharedSizePredictor, SizePredictor};
 use crate::{
-    BatchRequest, ComplexEvent, Decision, Matcher, Query, QueryId, WindowEventDecider,
-    WindowExtent, WindowId, WindowMeta,
+    BatchRequest, ComplexEvent, Decision, Query, QueryId, WindowEventDecider, WindowExtent,
+    WindowId, WindowMeta,
 };
 use espice_events::{Event, EventStream};
 use std::collections::VecDeque;
@@ -162,8 +170,9 @@ pub struct Operator {
     /// `Copy`, so the per-event accept/close checks neither clone nor borrow
     /// the full `WindowSpec` on the hot path.
     extent: WindowExtent,
-    matcher: Matcher,
-    /// Shared storage for the events of all open windows.
+    matcher: IndexedMatcher,
+    /// Shared storage for the events of all open windows, with the
+    /// matcher's per-step occurrence index.
     ring: EventRing,
     /// Largest number of events ever resident in the ring at once.
     peak_resident: usize,
@@ -238,12 +247,12 @@ impl Operator {
     ) -> Self {
         assert!(shard_count >= 1, "shard count must be at least 1");
         assert!(shard_index < shard_count, "shard index {shard_index} out of {shard_count}");
-        let matcher = Matcher::from_query(&query);
+        let matcher = IndexedMatcher::from_query(&query);
         let initial_size = query.window().expected_size().unwrap_or(100);
         Operator {
             extent: query.window().extent(),
+            ring: EventRing::new(matcher.classes()),
             matcher,
-            ring: EventRing::new(),
             peak_resident: 0,
             open: VecDeque::new(),
             next_window_id: 0,
@@ -515,7 +524,7 @@ impl Operator {
         //    position in that window's drop set — the ring entry is shared,
         //    so a drop in one window never affects the others.
         if !self.open.is_empty() {
-            let slot = self.ring.push(event.clone());
+            let slot = self.append(event);
             self.peak_resident = self.peak_resident.max(self.ring.len());
             self.batch_requests.clear();
             for window in self.open.iter() {
@@ -659,7 +668,7 @@ impl Operator {
             // span-at-a-time).
             let base = self.ring.next_slot();
             for event in sub_run {
-                self.ring.push(event.clone());
+                self.append(event);
             }
             self.peak_resident = self.peak_resident.max(self.ring.len());
             let assigned = sub_run.len() as u64;
@@ -755,9 +764,18 @@ impl Operator {
         self.prediction.reset_to(initial_size.max(1));
     }
 
-    /// Releases the ring slots no open window can reference anymore. Open
-    /// windows are ordered by start slot, so the front window bounds them
-    /// all; with no window open the ring empties completely.
+    /// Appends `event` to the shared ring and records its slot in the
+    /// occurrence list of every step class that admits it.
+    fn append(&mut self, event: &Event) -> SlotIndex {
+        let slot = self.ring.push(event.clone());
+        self.matcher.classify(event, slot, &mut self.ring);
+        slot
+    }
+
+    /// Releases the ring slots (and their occurrences) no open window can
+    /// reference anymore. Open windows are ordered by start slot, so the
+    /// front window bounds them all; with no window open the ring empties
+    /// completely.
     fn prune_ring(&mut self) {
         match self.open.front() {
             Some(window) => self.ring.release_before(window.start),
@@ -777,31 +795,15 @@ impl Operator {
             self.prediction.observe(assigned);
         }
         decider.window_closed(&window.meta, assigned);
-        let outcome = if window.dropped.is_empty() {
-            // Nothing was dropped: the window's events are exactly the ring
-            // slots `[start, start + assigned)`, so the matcher can run over
-            // the ring's slice pair directly — the common no-shedding close
-            // allocates no per-close entry vector at all.
-            let (head, tail) = self.ring.slices(window.start, assigned);
-            self.matcher.matches_ring(window.meta.id, head, tail)
-        } else {
-            // Walk the shared slice once, merging out the (sorted) dropped
-            // positions; positions are derived from the slot offset, so they
-            // are identical to what per-window storage would have recorded.
-            let mut refs = Vec::with_capacity(assigned - window.dropped.len());
-            let mut drops = window.dropped.iter();
-            let mut next_drop = drops.next();
-            for (position, event) in self.ring.range(window.start, assigned).enumerate() {
-                if next_drop == Some(position as u32) {
-                    next_drop = drops.next();
-                    continue;
-                }
-                refs.push(EntryRef { position, event });
-            }
-            self.matcher.matches_refs(window.meta.id, &refs)
-        };
-        self.stats.complex_events += outcome.complex_events.len() as u64;
-        outcome.complex_events
+        let emitted = self.matcher.matches(
+            window.meta.id,
+            &self.ring,
+            window.start,
+            assigned,
+            &window.dropped,
+        );
+        self.stats.complex_events += emitted.len() as u64;
+        emitted
     }
 }
 

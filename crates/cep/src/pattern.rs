@@ -21,6 +21,10 @@ use espice_events::{Event, EventType};
 #[derive(Debug, Clone, PartialEq)]
 pub struct PatternStep {
     types: Vec<EventType>,
+    /// `types` as a bitset over type indices (bit `i % 64` of word `i / 64`
+    /// marks type `i`), so membership is O(1) however many types the step
+    /// lists — Q2's second step lists every symbol of the stream.
+    type_mask: Box<[u64]>,
     count: usize,
     distinct_types: bool,
     predicate: Predicate,
@@ -29,12 +33,7 @@ pub struct PatternStep {
 impl PatternStep {
     /// A step matching a single event of a single type.
     pub fn single(event_type: EventType) -> Self {
-        PatternStep {
-            types: vec![event_type],
-            count: 1,
-            distinct_types: false,
-            predicate: Predicate::True,
-        }
+        Self::any_of([event_type], 1, false)
     }
 
     /// A step matching a single event whose type is any of `types`.
@@ -69,7 +68,12 @@ impl PatternStep {
                 types.len()
             );
         }
-        PatternStep { types, count, distinct_types, predicate: Predicate::True }
+        let words = types.iter().map(|ty| ty.index() / 64).max().unwrap_or(0) + 1;
+        let mut type_mask = vec![0u64; words].into_boxed_slice();
+        for ty in &types {
+            type_mask[ty.index() / 64] |= 1 << (ty.index() % 64);
+        }
+        PatternStep { types, type_mask, count, distinct_types, predicate: Predicate::True }
     }
 
     /// Attaches an attribute predicate to this step.
@@ -98,9 +102,15 @@ impl PatternStep {
         &self.predicate
     }
 
+    /// Whether `ty` is one of this step's admissible types (O(1)).
+    fn admits_type(&self, ty: EventType) -> bool {
+        let index = ty.index();
+        self.type_mask.get(index / 64).is_some_and(|word| word & (1 << (index % 64)) != 0)
+    }
+
     /// Whether `event` is admissible for this step (type and predicate).
     pub fn admits(&self, event: &Event) -> bool {
-        self.types.contains(&event.event_type()) && self.predicate.eval(event)
+        self.admits_type(event.event_type()) && self.predicate.eval(event)
     }
 }
 
@@ -188,7 +198,7 @@ impl Pattern {
     pub fn type_repetition(&self, ty: EventType) -> usize {
         self.steps
             .iter()
-            .filter(|s| s.types().contains(&ty))
+            .filter(|s| s.admits_type(ty))
             .map(|s| if s.distinct_types() { 1 } else { s.count() })
             .sum()
     }
@@ -220,6 +230,15 @@ mod tests {
         assert!(step.admits(&Event::new(ty(2), Timestamp::ZERO, 0)));
         assert!(!step.admits(&Event::new(ty(3), Timestamp::ZERO, 1)));
         assert!(step.distinct_types());
+    }
+
+    #[test]
+    fn type_membership_spans_bitset_words() {
+        let step = PatternStep::any_of([ty(3), ty(64), ty(200)], 1, false);
+        for index in 0..300 {
+            assert_eq!(step.admits_type(ty(index)), [3, 64, 200].contains(&index), "type {index}");
+        }
+        assert_eq!(step.types(), &[ty(3), ty(64), ty(200)]);
     }
 
     #[test]

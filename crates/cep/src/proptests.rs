@@ -2,11 +2,13 @@
 
 use crate::reference::ReferenceOperator;
 use crate::{
-    Decision, KeepAll, Matcher, Operator, Pattern, PatternStep, Query, SelectionPolicy,
-    ShardedEngine, SkipPolicy, WindowEntry, WindowEventDecider, WindowMeta, WindowSpec,
+    CmpOp, ConsumptionPolicy, Decision, KeepAll, Matcher, Operator, Pattern, PatternStep,
+    Predicate, Query, SelectionPolicy, ShardedEngine, SkipPolicy, WindowEntry, WindowEventDecider,
+    WindowMeta, WindowSpec,
 };
 use espice_events::{
-    Event, EventSource, EventStream, EventType, SliceSource, Timestamp, VecStream,
+    AttributeValue, Event, EventSource, EventStream, EventType, SimDuration, SliceSource,
+    Timestamp, VecStream,
 };
 use proptest::prelude::*;
 
@@ -22,6 +24,37 @@ impl WindowEventDecider for DropEveryThird {
         } else {
             Decision::Keep
         }
+    }
+}
+
+/// The deciders the indexed-matching identity runs under: keep-all,
+/// [`DropEveryThird`], and keep-all with a pSPICE partial-match budget
+/// (whose store retro-drops evicted matches' events). All three are pure
+/// functions of (window, position, event), so every shard count agrees.
+#[derive(Debug, Clone, Copy)]
+enum OracleDecider {
+    KeepAll,
+    DropEveryThird,
+    PartialBudget(usize),
+}
+
+impl WindowEventDecider for OracleDecider {
+    fn decide(&mut self, meta: &WindowMeta, position: usize, event: &Event) -> Decision {
+        match self {
+            OracleDecider::DropEveryThird => DropEveryThird.decide(meta, position, event),
+            _ => Decision::Keep,
+        }
+    }
+
+    fn partial_match_budget(&mut self, _meta: &WindowMeta) -> Option<usize> {
+        match *self {
+            OracleDecider::PartialBudget(budget) => Some(budget),
+            _ => None,
+        }
+    }
+
+    fn constituent_utility(&mut self, _meta: &WindowMeta, position: usize, event: &Event) -> u8 {
+        ((position * 31 + event.event_type().index()) % 7) as u8
     }
 }
 
@@ -278,6 +311,83 @@ proptest! {
                 engine.run_keep_all(&stream)
             };
             prop_assert_eq!(&merged, &expected, "diverged from reference at {} shards", shards);
+            prop_assert_eq!(&engine.stats().merged, reference.stats());
+        }
+    }
+
+    /// Indexed match-on-close identity: over random patterns (`any_of`
+    /// steps, distinct or not, gated or not by an attribute predicate),
+    /// every selection × consumption × skip policy, up to 3 matches per
+    /// window, count, sliding and time windows, three deciders (keep-all,
+    /// drop-every-third, a pSPICE partial-match budget) and N shards ∈
+    /// {1, 2, 4}, the operator's per-step occurrence index emits exactly the
+    /// complex events and statistics of the per-window scan in the seed
+    /// reference engine — on the per-event path (`Operator::run`) and on the
+    /// engine's chunked span path.
+    #[test]
+    fn indexed_matching_equals_reference_scan_for_every_policy(
+        raw_steps in prop::collection::vec((1u32..32, 1usize..3, prop::bool::ANY, prop::bool::ANY), 1..4),
+        policies in (0usize..2, 0usize..2, 0usize..2, 1usize..4),
+        window in (0usize..4, 3usize..20, 1usize..5),
+        decider in (0usize..3, 1usize..4),
+        raw_events in prop::collection::vec((0u32..6, 0u64..3, 0u32..5), 1..120),
+    ) {
+        // Steps draw their types from 0..5 as a bit mask; type 5 is noise
+        // no step references.
+        let steps: Vec<PatternStep> = raw_steps
+            .iter()
+            .map(|&(mask, count, distinct, gated)| {
+                let types: Vec<EventType> =
+                    (0..5).filter(|t| mask & (1 << t) != 0).map(EventType::from_index).collect();
+                let distinct = distinct && types.len() >= count;
+                let step = PatternStep::any_of(types, count, distinct);
+                if gated { step.with_predicate(Predicate::attr_cmp("v", CmpOp::Gt, 1.0)) } else { step }
+            })
+            .collect();
+        let (selection, consumption, skip, max_matches) = policies;
+        let (window_kind, size, slide) = window;
+        let spec = match window_kind {
+            0 => WindowSpec::count_sliding(size, slide),
+            1 => WindowSpec::count_on_types(vec![EventType::from_index(0)], size),
+            2 => WindowSpec::time_sliding(SimDuration::from_secs(size as u64), SimDuration::from_secs(slide as u64)),
+            _ => WindowSpec::time_on_types(vec![EventType::from_index(0)], SimDuration::from_secs(size as u64)),
+        };
+        let query = Query::builder()
+            .pattern(Pattern::new(steps))
+            .window(spec)
+            .selection([SelectionPolicy::First, SelectionPolicy::Last][selection])
+            .consumption([ConsumptionPolicy::Consumed, ConsumptionPolicy::Zero][consumption])
+            .skip([SkipPolicy::SkipTillNextMatch, SkipPolicy::Contiguous][skip])
+            .max_matches_per_window(max_matches)
+            .build();
+        let mut now = 0u64;
+        let events: Vec<Event> = raw_events
+            .iter()
+            .enumerate()
+            .map(|(i, &(t, gap, v))| {
+                now += gap;
+                Event::builder(EventType::from_index(t), Timestamp::from_secs(now))
+                    .seq(i as u64)
+                    .attr("v", AttributeValue::from(v as f64))
+                    .build()
+            })
+            .collect();
+        let stream = VecStream::from_ordered(events);
+        let decider = match decider {
+            (0, _) => OracleDecider::KeepAll,
+            (1, _) => OracleDecider::DropEveryThird,
+            (_, budget) => OracleDecider::PartialBudget(budget),
+        };
+
+        let mut reference = ReferenceOperator::new(query.clone());
+        let expected = reference.run(&stream, &mut decider.clone());
+        let mut operator = Operator::new(query.clone());
+        prop_assert_eq!(&operator.run(&stream, &mut decider.clone()), &expected);
+        prop_assert_eq!(operator.stats(), reference.stats());
+        for shards in [1usize, 2, 4] {
+            let mut engine = ShardedEngine::new(query.clone(), shards);
+            let merged = engine.run(&stream, &mut vec![decider; shards]);
+            prop_assert_eq!(&merged, &expected, "diverged from the scan at {} shards", shards);
             prop_assert_eq!(&engine.stats().merged, reference.stats());
         }
     }

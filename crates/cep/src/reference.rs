@@ -10,6 +10,14 @@
 //! * the `window_overlap` bench can measure the ring's win over the seed
 //!   storage on identical workloads (including peak resident entries).
 //!
+//! Beyond the seed it mirrors one later mechanism, pSPICE's partial-match
+//! store: a window whose decider returns a
+//! [`partial_match_budget`](WindowEventDecider::partial_match_budget) feeds
+//! its kept events through the same store and removes the entries the
+//! store retro-drops, so shedding by partial match can be pinned too.
+//! Matching stays the per-window scan of [`Matcher`], independent of the
+//! operator's occurrence index.
+//!
 //! It is `#[doc(hidden)]`: not part of the supported API, only an oracle.
 //! Keep its decider call sequence byte-identical to [`Operator`]'s —
 //! stateful deciders (eSPICE's boundary thinning) must observe the same
@@ -18,11 +26,11 @@
 //!
 //! [`Operator`]: crate::Operator
 
+use crate::partial::PartialStore;
 use crate::window::SizePredictor;
-use crate::OperatorStats;
 use crate::{
-    BatchRequest, ComplexEvent, Matcher, OpenPolicy, Query, WindowEntry, WindowEventDecider,
-    WindowId, WindowMeta, WindowSpec,
+    BatchRequest, ComplexEvent, DropSet, Matcher, OpenPolicy, OperatorStats, Query, WindowEntry,
+    WindowEventDecider, WindowId, WindowMeta, WindowSpec,
 };
 use espice_events::{Event, EventStream, Timestamp};
 use std::collections::VecDeque;
@@ -33,6 +41,9 @@ struct RefWindow {
     meta: WindowMeta,
     entries: Vec<WindowEntry>,
     assigned: usize,
+    /// pSPICE store (windows whose decider returned a budget) and the
+    /// positions it retro-dropped.
+    partial: Option<(PartialStore, DropSet)>,
 }
 
 /// The seed engine: per-window `Vec<WindowEntry>` storage. See the module
@@ -148,7 +159,10 @@ impl ReferenceOperator {
                     predicted_size: self.predicted_window_size(),
                 };
                 self.stats.windows_opened += 1;
-                self.open.push_back(RefWindow { meta, entries: Vec::new(), assigned: 0 });
+                let partial = decider
+                    .partial_match_budget(&meta)
+                    .map(|b| (PartialStore::new(b), DropSet::new()));
+                self.open.push_back(RefWindow { meta, entries: Vec::new(), assigned: 0, partial });
             }
         }
 
@@ -173,6 +187,17 @@ impl ReferenceOperator {
                     self.stats.kept += 1;
                     window.entries.push(WindowEntry { position, event: event.clone() });
                     self.resident += 1;
+                    if let Some((store, retro)) = window.partial.as_mut() {
+                        let utility = decider.constituent_utility(&window.meta, position, event);
+                        let demoted =
+                            store.feed(self.query.pattern(), position, event, utility, retro);
+                        if demoted > 0 {
+                            window.entries.retain(|entry| !retro.contains(entry.position));
+                            self.resident -= demoted;
+                            self.stats.kept -= demoted as u64;
+                            self.stats.dropped += demoted as u64;
+                        }
+                    }
                 } else {
                     self.stats.dropped += 1;
                 }

@@ -23,10 +23,15 @@
 //! entry count is bounded by the span of a single window plus slack — not by
 //! the window span times the overlap factor.
 //!
+//! Match-on-close never rescans a window: the ring also indexes, per pattern
+//! step class, the slots of the events that class admits. Each event is
+//! classified once when it is appended; closing a window walks those
+//! per-step occurrences inside `[start, start + assigned)` and skips the
+//! window's drops (see `matcher::IndexedMatcher`).
+//!
 //! [`WindowEntry`]: crate::WindowEntry
 
 use espice_events::Event;
-use std::collections::vec_deque;
 use std::collections::VecDeque;
 
 /// Global index of a slot in an operator's [`EventRing`]. Slot numbers are
@@ -34,18 +39,28 @@ use std::collections::VecDeque;
 /// across pruning.
 pub type SlotIndex = u64;
 
-/// The shared, prunable event store of one operator.
-#[derive(Debug, Default)]
+/// The shared, prunable event store of one operator, with its step
+/// occurrence index.
+///
+/// Next to the events the ring keeps one occurrence list per *step class*
+/// of the operator's pattern (see `matcher::IndexedMatcher`): the slots of
+/// the resident events that class admits, in slot order. The operator
+/// classifies each event once when it appends it, and match-on-close walks
+/// these lists instead of rescanning the window. Pruning pops the lists
+/// together with the events, so they never reference a released slot.
+#[derive(Debug)]
 pub struct EventRing {
     events: VecDeque<Event>,
     /// Global slot index of `events.front()`.
     base: SlotIndex,
+    /// Per step class, the resident slots whose event the class admits.
+    occurrences: Vec<VecDeque<SlotIndex>>,
 }
 
 impl EventRing {
-    /// An empty ring whose next slot is 0.
-    pub fn new() -> Self {
-        EventRing { events: VecDeque::new(), base: 0 }
+    /// An empty ring whose next slot is 0, indexing `classes` step classes.
+    pub fn new(classes: usize) -> Self {
+        EventRing { events: VecDeque::new(), base: 0, occurrences: vec![VecDeque::new(); classes] }
     }
 
     /// The slot index the next appended event will receive.
@@ -60,6 +75,30 @@ impl EventRing {
         slot
     }
 
+    /// Records that step class `class` admits the event at `slot`. Slots of
+    /// one class must be recorded in increasing order (they are recorded as
+    /// events are appended).
+    pub fn record(&mut self, class: usize, slot: SlotIndex) {
+        let list = &mut self.occurrences[class];
+        debug_assert!(list.back().is_none_or(|&last| last < slot), "occurrences out of order");
+        list.push_back(slot);
+    }
+
+    /// The resident slots step class `class` admits, in increasing order.
+    pub fn occurrences(&self, class: usize) -> &VecDeque<SlotIndex> {
+        &self.occurrences[class]
+    }
+
+    /// The event at `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot has been pruned or not yet been appended.
+    pub fn get(&self, slot: SlotIndex) -> &Event {
+        assert!(slot >= self.base, "slot {slot} already pruned (base {})", self.base);
+        &self.events[(slot - self.base) as usize]
+    }
+
     /// Number of events currently resident.
     pub fn len(&self) -> usize {
         self.events.len()
@@ -71,51 +110,18 @@ impl EventRing {
         self.events.is_empty()
     }
 
-    /// Iterates the `len` events starting at slot `start`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any slot of the range has been pruned or not yet been
-    /// appended.
-    pub fn range(&self, start: SlotIndex, len: usize) -> vec_deque::Iter<'_, Event> {
-        assert!(start >= self.base, "slot {start} already pruned (base {})", self.base);
-        let offset = (start - self.base) as usize;
-        self.events.range(offset..offset + len)
-    }
-
-    /// The `len` events starting at slot `start`, as the (at most two)
-    /// contiguous slices they occupy in the backing deque. This is the
-    /// zero-copy input of [`Matcher::matches_ring`]: a window with an empty
-    /// drop set owns exactly this range, and the arrival position of the
-    /// `i`-th event across the pair is `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any slot of the range has been pruned or not yet been
-    /// appended.
-    ///
-    /// [`Matcher::matches_ring`]: crate::Matcher::matches_ring
-    pub fn slices(&self, start: SlotIndex, len: usize) -> (&[Event], &[Event]) {
-        assert!(start >= self.base, "slot {start} already pruned (base {})", self.base);
-        let offset = (start - self.base) as usize;
-        assert!(offset + len <= self.events.len(), "slot range extends past the ring");
-        let (front, back) = self.events.as_slices();
-        if offset + len <= front.len() {
-            (&front[offset..offset + len], &[])
-        } else if offset >= front.len() {
-            let offset = offset - front.len();
-            (&back[offset..offset + len], &[])
-        } else {
-            (&front[offset..], &back[..offset + len - front.len()])
-        }
-    }
-
     /// Drops every event below slot `start` (the start of the oldest window
-    /// still open). No-op if those slots are already gone.
+    /// still open), and its occurrences. No-op if those slots are already
+    /// gone.
     pub fn release_before(&mut self, start: SlotIndex) {
         while self.base < start {
             self.events.pop_front().expect("ring slots below a window start are resident");
             self.base += 1;
+        }
+        for list in &mut self.occurrences {
+            while list.front().is_some_and(|&slot| slot < start) {
+                list.pop_front();
+            }
         }
     }
 
@@ -124,12 +130,13 @@ impl EventRing {
     pub fn release_all(&mut self) {
         self.base = self.next_slot();
         self.events.clear();
+        self.occurrences.iter_mut().for_each(VecDeque::clear);
     }
 
     /// Empties the ring **and** restarts slot numbering at 0 (operator
     /// reset).
     pub fn reset(&mut self) {
-        self.events.clear();
+        self.release_all();
         self.base = 0;
     }
 }
@@ -440,14 +447,14 @@ mod tests {
 
     #[test]
     fn slots_are_stable_across_pruning() {
-        let mut ring = EventRing::new();
+        let mut ring = EventRing::new(0);
         for seq in 0..10 {
             assert_eq!(ring.push(ev(seq)), seq);
         }
         ring.release_before(4);
         assert_eq!(ring.len(), 6);
         assert_eq!(ring.next_slot(), 10);
-        let seqs: Vec<u64> = ring.range(5, 3).map(Event::seq).collect();
+        let seqs: Vec<u64> = (5..8).map(|slot| ring.get(slot).seq()).collect();
         assert_eq!(seqs, vec![5, 6, 7]);
         // Releasing below the current base is a no-op.
         ring.release_before(2);
@@ -455,8 +462,29 @@ mod tests {
     }
 
     #[test]
+    fn occurrences_are_pruned_with_their_slots() {
+        let mut ring = EventRing::new(2);
+        for seq in 0..10 {
+            let slot = ring.push(ev(seq));
+            ring.record((seq % 2) as usize, slot);
+            if seq % 3 == 0 {
+                ring.record(1 - (seq % 2) as usize, slot);
+            }
+        }
+        let listed = |ring: &EventRing, class| ring.occurrences(class).iter().copied().collect();
+        let evens: Vec<u64> = listed(&ring, 0);
+        assert_eq!(evens, vec![0, 2, 3, 4, 6, 8, 9]);
+        ring.release_before(4);
+        assert_eq!(listed(&ring, 0), vec![4, 6, 8, 9]);
+        assert_eq!(listed(&ring, 1), vec![5, 6, 7, 9]);
+        ring.release_all();
+        assert!(ring.occurrences(0).is_empty() && ring.occurrences(1).is_empty());
+        assert_eq!(ring.next_slot(), 10);
+    }
+
+    #[test]
     fn release_all_keeps_slot_numbering() {
-        let mut ring = EventRing::new();
+        let mut ring = EventRing::new(0);
         ring.push(ev(0));
         ring.push(ev(1));
         ring.release_all();
@@ -467,52 +495,24 @@ mod tests {
 
     #[test]
     fn reset_restarts_numbering() {
-        let mut ring = EventRing::new();
-        ring.push(ev(0));
+        let mut ring = EventRing::new(1);
+        let slot = ring.push(ev(0));
+        ring.record(0, slot);
         ring.reset();
         assert!(ring.is_empty());
+        assert!(ring.occurrences(0).is_empty());
         assert_eq!(ring.next_slot(), 0);
     }
 
     #[test]
-    fn slices_cover_the_same_events_as_range() {
-        let mut ring = EventRing::new();
-        for seq in 0..16 {
-            ring.push(ev(seq));
-        }
-        // Force the deque to wrap: prune, then append more.
-        ring.release_before(10);
-        for seq in 16..24 {
-            ring.push(ev(seq));
-        }
-        for start in 10..24u64 {
-            for len in 0..=(24 - start) as usize {
-                let via_range: Vec<u64> = ring.range(start, len).map(Event::seq).collect();
-                let (head, tail) = ring.slices(start, len);
-                let via_slices: Vec<u64> = head.iter().chain(tail.iter()).map(Event::seq).collect();
-                assert_eq!(via_slices, via_range, "start {start}, len {len}");
-                assert_eq!(head.len() + tail.len(), len);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "past the ring")]
-    fn slices_reject_out_of_range() {
-        let mut ring = EventRing::new();
-        ring.push(ev(0));
-        let _ = ring.slices(0, 2);
-    }
-
-    #[test]
     #[should_panic(expected = "already pruned")]
-    fn range_rejects_pruned_slots() {
-        let mut ring = EventRing::new();
+    fn get_rejects_pruned_slots() {
+        let mut ring = EventRing::new(0);
         for seq in 0..4 {
             ring.push(ev(seq));
         }
         ring.release_before(2);
-        let _ = ring.range(1, 2);
+        let _ = ring.get(1);
     }
 
     #[test]

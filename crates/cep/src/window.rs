@@ -11,7 +11,7 @@
 //! * Q4 uses a count-based sliding window (slide = 100 events).
 
 use espice_events::{Event, EventType, SequenceNumber, SimDuration, Timestamp};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Identifier of a window instance within one query's operator run.
 pub type WindowId = u64;
@@ -329,8 +329,7 @@ impl Default for SizePredictor {
     }
 }
 
-/// A window-size estimate shared by all shards of an engine, updated with
-/// lock-free atomics.
+/// A window-size estimate shared by all shards of an engine.
 ///
 /// With per-shard [`SizePredictor`]s each shard only observes the windows
 /// it owns, so on time-based (variable size) windows `predicted_size` —
@@ -348,14 +347,25 @@ impl Default for SizePredictor {
 /// a multi-threaded run can still differ between runs (they see whatever
 /// subset of windows has closed so far); count-based windows never consult
 /// the predictor, so their runs stay bit-identical.
+///
+/// The pair lives behind one mutex, so every reader sees a window's size
+/// and its count together: two independent atomics let a concurrent read
+/// fold a size into the mean without its count. The lock is taken once per
+/// window open (time windows) or close, never per event.
 #[derive(Debug)]
 pub struct SharedSizePredictor {
+    accumulator: Mutex<SizeAccumulator>,
+}
+
+/// The state behind a [`SharedSizePredictor`]'s lock.
+#[derive(Debug, Clone, Copy)]
+struct SizeAccumulator {
     /// Sum of all observed window sizes.
-    sum: AtomicU64,
+    sum: u64,
     /// Number of observed windows.
-    count: AtomicU64,
+    count: u64,
     /// Estimate reported before the first window closes.
-    initial: AtomicU64,
+    initial: u64,
 }
 
 impl SharedSizePredictor {
@@ -368,32 +378,46 @@ impl SharedSizePredictor {
     pub fn new(initial_estimate: usize) -> Self {
         assert!(initial_estimate >= 1, "initial estimate must be >= 1");
         SharedSizePredictor {
-            sum: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-            initial: AtomicU64::new(initial_estimate as u64),
+            accumulator: Mutex::new(SizeAccumulator {
+                sum: 0,
+                count: 0,
+                initial: initial_estimate as u64,
+            }),
         }
+    }
+
+    /// The accumulator, locked. Every update computes its new values
+    /// before it writes any, so a panic under the lock never leaves a
+    /// half-applied observation and a poisoned lock still guards a
+    /// consistent pair: poisoning is ignored rather than spread to every
+    /// shard sharing the predictor.
+    fn lock(&self) -> MutexGuard<'_, SizeAccumulator> {
+        self.accumulator.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Records the size of a closed window. Callable from any shard thread.
     pub fn observe(&self, size: usize) {
-        self.sum.fetch_add(size as u64, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
+        let mut accumulator = self.lock();
+        let (sum, count) = (accumulator.sum + size as u64, accumulator.count + 1);
+        accumulator.sum = sum;
+        #[cfg(test)]
+        tests::mid_observe();
+        accumulator.count = count;
     }
 
     /// The current prediction (never below 1): the mean closed-window size,
     /// or the initial estimate before any window has closed.
     pub fn predict(&self) -> usize {
-        let count = self.count.load(Ordering::Relaxed);
+        let SizeAccumulator { sum, count, initial } = *self.lock();
         if count == 0 {
-            return self.initial.load(Ordering::Relaxed).max(1) as usize;
+            return initial.max(1) as usize;
         }
-        let sum = self.sum.load(Ordering::Relaxed);
         ((sum as f64 / count as f64).round() as usize).max(1)
     }
 
     /// How many windows have been observed across all shards.
     pub fn observations(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.lock().count
     }
 
     /// Discards all observations and restarts from `initial_estimate`
@@ -405,16 +429,16 @@ impl SharedSizePredictor {
     /// Panics if the initial estimate is zero.
     pub fn reset_to(&self, initial_estimate: usize) {
         assert!(initial_estimate >= 1, "initial estimate must be >= 1");
-        self.initial.store(initial_estimate as u64, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.count.store(0, Ordering::Relaxed);
+        *self.lock() = SizeAccumulator { sum: 0, count: 0, initial: initial_estimate as u64 };
     }
 
-    /// The raw `(sum, count)` accumulator pair. Captured into replay
-    /// checkpoints so chunk-replay recovery can rewind the estimator to the
-    /// checkpoint instead of observing the replayed closes a second time.
+    /// The raw `(sum, count)` accumulator pair, read as one consistent
+    /// snapshot. Captured into replay checkpoints so chunk-replay recovery
+    /// can rewind the estimator to the checkpoint instead of observing the
+    /// replayed closes a second time.
     pub fn snapshot(&self) -> (u64, u64) {
-        (self.sum.load(Ordering::Relaxed), self.count.load(Ordering::Relaxed))
+        let accumulator = self.lock();
+        (accumulator.sum, accumulator.count)
     }
 
     /// Overwrites the accumulator with a snapshot taken by
@@ -424,8 +448,9 @@ impl SharedSizePredictor {
     /// the restored shard re-derives, so the estimator converges back to
     /// the crashed incarnation's state instead of double-counting.
     pub fn restore(&self, sum: u64, count: u64) {
-        self.sum.store(sum, Ordering::Relaxed);
-        self.count.store(count, Ordering::Relaxed);
+        let mut accumulator = self.lock();
+        accumulator.sum = sum;
+        accumulator.count = count;
     }
 }
 
@@ -714,6 +739,65 @@ mod tests {
         });
         assert_eq!(shared.observations(), 400);
         assert_eq!(shared.predict(), 8);
+    }
+
+    thread_local! {
+        /// Test-only hook run by `SharedSizePredictor::observe` on the
+        /// observing thread between its `sum` and `count` updates.
+        static MID_OBSERVE: std::cell::RefCell<Option<Box<dyn FnMut()>>> =
+            const { std::cell::RefCell::new(None) };
+    }
+
+    pub(super) fn mid_observe() {
+        MID_OBSERVE.with(|hook| {
+            if let Some(hook) = hook.borrow_mut().as_mut() {
+                hook();
+            }
+        });
+    }
+
+    #[test]
+    fn a_concurrent_read_never_sees_an_observation_half_applied() {
+        // Park an observing thread between its two writes, then read from a
+        // third thread. Two independent counters let that read fold the
+        // size into the mean without its count — (7, 0), a mean of 7 over
+        // zero windows; one consistent pair makes the read wait for the
+        // whole observation.
+        use std::sync::{mpsc, Arc, Barrier};
+        let shared = Arc::new(SharedSizePredictor::new(1));
+        let parked = Arc::new(Barrier::new(2));
+        let resume = Arc::new(Barrier::new(2));
+        let writer = {
+            let (shared, parked, resume) =
+                (Arc::clone(&shared), Arc::clone(&parked), Arc::clone(&resume));
+            std::thread::spawn(move || {
+                MID_OBSERVE.with(|hook| {
+                    *hook.borrow_mut() = Some(Box::new(move || {
+                        parked.wait();
+                        resume.wait();
+                    }));
+                });
+                shared.observe(7);
+                MID_OBSERVE.with(|hook| hook.borrow_mut().take());
+            })
+        };
+        parked.wait();
+        let (sender, receiver) = mpsc::channel();
+        let reader = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                let read = (shared.snapshot(), shared.predict());
+                sender.send(read).expect("test thread is listening");
+            })
+        };
+        // A torn read would arrive while the writer is still parked; give
+        // it ample time to, then let the writer finish.
+        let early = receiver.recv_timeout(std::time::Duration::from_millis(200)).ok();
+        resume.wait();
+        let read = early.unwrap_or_else(|| receiver.recv().expect("reader panicked"));
+        writer.join().expect("writer panicked");
+        reader.join().expect("reader panicked");
+        assert_eq!(read, ((7, 1), 7), "a read saw the size without its count");
     }
 
     #[test]
